@@ -19,6 +19,12 @@ step "test" cargo test -q --workspace
 
 step "clippy (-D warnings)" cargo clippy --workspace --all-targets -- -D warnings
 
+# The end-to-end benchmark (e2ebench/) is a Cargo workspace of its own,
+# built against the repository's crates by path, so the workspace steps
+# above do not compile it. Building and testing it here catches a
+# training or serve API change that would break the benchmark.
+step "e2ebench (build + test)" cargo test --release --offline --manifest-path e2ebench/Cargo.toml
+
 # Verification layer: oracle sweep (200 sampled jobs, incl. degraded and
 # faulted), timeline invariant audit over the fault corpus, golden-trace
 # byte diff, and serve-path equivalence. Prints its own per-step timing;

@@ -25,7 +25,13 @@ use std::fmt;
 /// `h = (h ^ b) * p` is a bijection in `h` for fixed `b` (odd `p`), so
 /// a divergence introduced at any position can never cancel.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a64_extend(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// Continues an FNV-1a 64 hash over `bytes`:
+/// `fnv1a64_extend(fnv1a64(a), b) == fnv1a64(a ++ b)`, so a large input
+/// can be hashed in pieces without being assembled in memory.
+pub fn fnv1a64_extend(mut hash: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         hash ^= u64::from(b);
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
@@ -929,5 +935,17 @@ mod tests {
         assert_eq!(xs, vec![1, 2, 3]);
         let missing: Option<f64> = v.opt("absent").unwrap();
         assert!(missing.is_none());
+    }
+
+    #[test]
+    fn fnv1a64_extends_piecewise() {
+        // Published FNV-1a 64 test vectors.
+        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        let text = b"espresso checkpoint";
+        for split in 0..=text.len() {
+            let (a, b) = text.split_at(split);
+            assert_eq!(fnv1a64_extend(fnv1a64(a), b), fnv1a64(text));
+        }
     }
 }

@@ -2,9 +2,9 @@
 //! as one flat JSON document from `/metrics`.
 //!
 //! Counters are lock-free atomics. Latencies go into fixed-size
-//! log-spaced histograms (~9% bucket resolution from 1 µs to ~2 min), so
-//! percentile queries cost a single pass over ~100 buckets and recording
-//! never allocates.
+//! log-spaced histograms (bounds grow ×1.25, so each bucket is 25% wide,
+//! from 1 µs to ~20 min), so percentile queries cost a single pass over
+//! ~100 buckets and recording never allocates.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -85,7 +85,7 @@ impl Histogram {
 
     /// The `q`-quantile (`0 < q <= 1`), seconds: the upper bound of the
     /// bucket holding the rank-`ceil(q * total)` observation. Accurate to
-    /// one bucket width (~9%).
+    /// one bucket width (25%: the bounds grow ×1.25).
     pub fn quantile(&self, q: f64) -> f64 {
         if self.total == 0 {
             return 0.0;

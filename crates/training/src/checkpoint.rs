@@ -3,32 +3,54 @@
 //! A checkpoint captures everything the fault-tolerant runtime needs to
 //! resume *bit-identically*: model weights, optimizer state, the
 //! per-worker error-feedback grid, the telemetry log, cluster membership,
-//! and the degradation-monitor / fallback bookkeeping. The document is
-//! canonical `espresso-json`; because `f32 -> f64` widening is exact, the
-//! renderer prints shortest-round-trip decimals, and the parser rounds
-//! correctly, every finite float survives encode -> decode with its exact
-//! bit pattern — JSON is a valid bitwise checkpoint medium here.
+//! and the degradation-monitor / fallback bookkeeping.
 //!
-//! # File format
+//! # File format (v2)
 //!
 //! ```text
-//! ESPRESSO-CKPT v1 len=<N> fnv1a64=<16 hex digits>\n
-//! <exactly N bytes of compact JSON payload>
+//! ESPRESSO-CKPT v2 len=<N> meta=<M> fnv1a64=<16 hex digits>\n
+//! <M bytes of compact JSON metadata><N - M bytes of tensor section>
 //! ```
 //!
-//! The checksum is FNV-1a 64 over the *raw payload bytes*. Every
-//! single-byte substitution at equal length changes an FNV-1a hash (each
-//! round is a bijection in the accumulator), length changes trip the
-//! `len` field, and header corruption fails the header parse — so any
-//! flipped byte anywhere in the file is detected.
+//! The metadata is the trainer-state document with every `f32` tensor —
+//! the weights, the momentum velocity and the error-feedback residuals —
+//! replaced by its element count. The tensor section holds those tensors'
+//! raw little-endian `f32` bit patterns back to back, in document order:
+//! `params`, then `velocity`, then `ef` row by row. Raw bits make the
+//! round trip exact for every value, `-0.0`, subnormals and NaN payloads
+//! included, at 4 bytes per element; the error-feedback grid alone holds
+//! one model's worth of floats per surviving worker.
+//!
+//! The checksum is FNV-1a 64 over the whole payload. Every single-byte
+//! substitution at equal length changes an FNV-1a hash (each round is a
+//! bijection in the accumulator), length changes trip the `len` field, and
+//! the header must be byte for byte the one [`encode_file`] writes for the
+//! values it carries — so header damage that still parses to the same
+//! values (a `+` sign, an upper-case hex digit, a tab for a space) is
+//! caught too, and any flipped byte anywhere in the file is detected.
+//! Before any tensor is allocated, decoding checks that the metadata's
+//! element counts sum to exactly `(N - M) / 4`: an inconsistent file is
+//! reported as corrupt and never sizes an allocation.
+//!
+//! # v1 read path
+//!
+//! Older builds wrote `ESPRESSO-CKPT v1 len=<N> fnv1a64=<hex>\n` followed
+//! by the whole state as one JSON document (the [`ToJson`] form of
+//! [`TrainerState`]), every float as a shortest-round-trip decimal.
+//! [`decode_file`] dispatches on the magic and still reads v1, so
+//! checkpoints already on disk resume; [`encode_file`] writes only v2.
 //!
 //! # Atomicity and rotation
 //!
 //! [`CheckpointStore::save`] writes to a temp file, rotates the current
 //! checkpoint to `checkpoint.prev.json`, then renames the temp file into
-//! place — a crash at any point leaves at least one intact generation on
-//! disk, and [`CheckpointStore::load`] falls back to the previous
-//! generation when the current file is torn or corrupt.
+//! place (the `.json` names predate v2 and are kept so that a v1
+//! directory still resumes). A process crash (`kill -9`) at any point
+//! leaves at least one intact generation on disk, and
+//! [`CheckpointStore::load`] falls back to the previous generation when
+//! the current file is torn or corrupt. Nothing is fsynced, so the
+//! sequence does not survive a power loss or kernel crash: the renamed
+//! file's data may never have reached the disk.
 
 use std::fmt;
 use std::fs;
@@ -37,7 +59,7 @@ use std::path::{Path, PathBuf};
 
 use espresso_cluster::Membership;
 use espresso_gc::{ErrorFeedback, GcAlgorithm};
-use espresso_json::{enums, DecodeError, FromJson, Json, ToJson};
+use espresso_json::{enums, fnv1a64, fnv1a64_extend, DecodeError, FromJson, Json, ToJson};
 
 use crate::{distributed::SyncMode, distributed::TrainLog, mlp::Mlp, optimizer::Optimizer};
 
@@ -102,11 +124,13 @@ impl TrainerState {
         Mlp::from_params(self.dims, self.hidden, self.classes, self.params.clone())
     }
 
-    /// FNV-1a 64 fingerprint of the canonical JSON document — two states
-    /// are bit-identical iff their fingerprints match (the comparator of
-    /// the bitwise-resume guarantee).
+    /// FNV-1a 64 over the v2 payload — exactly the `fnv1a64` field
+    /// [`encode_file`] writes, computed without assembling the file. The
+    /// payload holds every field, and every tensor as raw bits, so two
+    /// states are bit-identical iff their fingerprints match (the
+    /// comparator of the bitwise-resume guarantee).
     pub fn fingerprint(&self) -> u64 {
-        espresso_json::fnv1a64(Json::encode(self).as_bytes())
+        self.payload_hash(&self.meta())
     }
 
     /// FNV-1a 64 fingerprint of the weight tensors alone (stable across
@@ -114,57 +138,211 @@ impl TrainerState {
     pub fn weights_fingerprint(&self) -> u64 {
         weights_fingerprint(&self.params)
     }
+
+    /// Every `f32` tensor in document order — `params`, momentum
+    /// `velocity`, then `ef` row by row — which is the order of the v2
+    /// tensor section and of the tensor callbacks in
+    /// [`TrainerState::from_document`].
+    fn tensors(&self) -> impl Iterator<Item = &[f32]> {
+        let velocity: &[Vec<f32>] = match &self.optimizer {
+            Optimizer::Momentum { velocity, .. } => velocity,
+            Optimizer::Sgd { .. } => &[],
+        };
+        self.params
+            .iter()
+            .chain(velocity)
+            .map(Vec::as_slice)
+            .chain(self.ef.iter().flatten().map(ErrorFeedback::residual))
+    }
+
+    /// The v2 metadata: the state document with tensors as element counts.
+    fn meta(&self) -> String {
+        self.document(2, element_count).render()
+    }
+
+    /// FNV-1a 64 of `meta` followed by the tensor section, streamed.
+    fn payload_hash(&self, meta: &str) -> u64 {
+        let mut hash = fnv1a64(meta.as_bytes());
+        for tensor in self.tensors() {
+            put_le(tensor, &mut |bytes| hash = fnv1a64_extend(hash, bytes));
+        }
+        hash
+    }
+
+    /// The state as a document of format `version`, each tensor rendered
+    /// by `tensor`.
+    fn document(&self, version: u32, tensor: TensorOut) -> Json {
+        Json::obj(vec![
+            ("version", Json::Num(f64::from(version))),
+            ("step", Json::Num(self.step as f64)),
+            ("dims", Json::Num(self.dims as f64)),
+            ("hidden", Json::Num(self.hidden as f64)),
+            ("classes", Json::Num(self.classes as f64)),
+            ("params", tensor_list(&self.params, tensor)),
+            ("optimizer", optimizer_document(&self.optimizer, tensor)),
+            (
+                "ef",
+                Json::Arr(
+                    self.ef
+                        .iter()
+                        .map(|row| Json::Arr(row.iter().map(|e| tensor(e.residual())).collect()))
+                        .collect(),
+                ),
+            ),
+            ("mode", self.mode.to_json()),
+            ("log", self.log.to_json()),
+            ("membership", self.membership.to_json()),
+            ("monitor", self.monitor.to_json()),
+            ("fallback_active", Json::Bool(self.fallback_active)),
+            ("healthy_streak", Json::Num(self.healthy_streak as f64)),
+            ("redecide_attempted", Json::Bool(self.redecide_attempted)),
+            ("fallback_trips", Json::Num(self.fallback_trips as f64)),
+            ("replans", Json::Num(self.replans as f64)),
+            ("controller", self.controller.to_json()),
+        ])
+    }
+
+    /// Decodes a document of format `version`, reading each tensor with
+    /// `tensor` in document order (the struct literal evaluates its fields
+    /// in the order written: `params`, `optimizer`, `ef`).
+    fn from_document(v: &Json, version: u32, tensor: &mut TensorIn) -> Result<Self, DecodeError> {
+        let found: u32 = v.req("version")?;
+        if found != version {
+            return Err(DecodeError::new(format!(
+                "unsupported checkpoint version {found} (expected {version})"
+            )));
+        }
+        Ok(Self {
+            step: v.req("step")?,
+            dims: v.req("dims")?,
+            hidden: v.req("hidden")?,
+            classes: v.req("classes")?,
+            params: list(field(v, "params")?, &mut *tensor).map_err(|e| e.at("params"))?,
+            optimizer: optimizer_from_document(field(v, "optimizer")?, tensor)
+                .map_err(|e| e.at("optimizer"))?,
+            ef: list(field(v, "ef")?, |row| {
+                list(row, |t| tensor(t).map(ErrorFeedback::from_residual))
+            })
+            .map_err(|e| e.at("ef"))?,
+            mode: v.req("mode")?,
+            log: v.req("log")?,
+            membership: v.req("membership")?,
+            monitor: v.opt("monitor")?,
+            fallback_active: v.req("fallback_active")?,
+            healthy_streak: v.req("healthy_streak")?,
+            redecide_attempted: v.req("redecide_attempted")?,
+            fallback_trips: v.req("fallback_trips")?,
+            replans: v.req("replans")?,
+            controller: v.opt("controller")?,
+        })
+    }
 }
 
 /// FNV-1a 64 over the exact little-endian bit patterns of `params`.
 pub fn weights_fingerprint(params: &[Vec<f32>]) -> u64 {
-    let mut bytes = Vec::new();
+    let mut hash = fnv1a64(&[]);
     for tensor in params {
-        for v in tensor {
-            bytes.extend_from_slice(&v.to_bits().to_le_bytes());
-        }
+        put_le(tensor, &mut |bytes| hash = fnv1a64_extend(hash, bytes));
     }
-    espresso_json::fnv1a64(&bytes)
+    hash
 }
 
-impl ToJson for Optimizer {
-    fn to_json(&self) -> Json {
-        match self {
-            Optimizer::Sgd { lr } => enums::tagged(
-                "Sgd",
-                Json::obj(vec![("lr", Json::Num(f64::from(*lr)))]),
-            ),
-            Optimizer::Momentum {
-                lr,
-                momentum,
-                velocity,
-            } => enums::tagged(
-                "Momentum",
-                Json::obj(vec![
-                    ("lr", Json::Num(f64::from(*lr))),
-                    ("momentum", Json::Num(f64::from(*momentum))),
-                    ("velocity", velocity.to_json()),
-                ]),
-            ),
+/// Feeds the little-endian bit patterns of `tensor` to `sink`, one
+/// fixed-size block at a time.
+fn put_le(tensor: &[f32], sink: &mut impl FnMut(&[u8])) {
+    let mut block = [0u8; 4096];
+    for chunk in tensor.chunks(block.len() / 4) {
+        for (out, v) in block.chunks_exact_mut(4).zip(chunk) {
+            out.copy_from_slice(&v.to_bits().to_le_bytes());
         }
+        sink(&block[..4 * chunk.len()]);
     }
 }
 
-impl FromJson for Optimizer {
-    fn from_json(v: &Json) -> Result<Self, DecodeError> {
-        let (name, payload) = enums::variant(v)?;
-        match name {
-            "Sgd" => Ok(Optimizer::Sgd {
-                lr: payload.req("lr").map_err(|e| e.at("Sgd"))?,
-            }),
-            "Momentum" => Ok(Optimizer::Momentum {
-                lr: payload.req("lr").map_err(|e| e.at("Momentum"))?,
-                momentum: payload.req("momentum").map_err(|e| e.at("Momentum"))?,
-                velocity: payload.req("velocity").map_err(|e| e.at("Momentum"))?,
-            }),
-            other => Err(enums::unknown(other, &["Sgd", "Momentum"])),
-        }
+/// Renders one `f32` tensor inside a state document.
+type TensorOut = fn(&[f32]) -> Json;
+
+/// Reads one `f32` tensor back out of a state document.
+type TensorIn<'a> = dyn FnMut(&Json) -> Result<Vec<f32>, DecodeError> + 'a;
+
+/// v1 tensors: inline arrays of numbers.
+fn inline(tensor: &[f32]) -> Json {
+    Json::Arr(tensor.iter().map(|&v| Json::Num(f64::from(v))).collect())
+}
+
+/// v2 tensors: the element count; the values live in the tensor section.
+fn element_count(tensor: &[f32]) -> Json {
+    Json::Num(tensor.len() as f64)
+}
+
+fn tensor_list(tensors: &[Vec<f32>], tensor: TensorOut) -> Json {
+    Json::Arr(tensors.iter().map(|t| tensor(t)).collect())
+}
+
+/// Required object field `key`.
+fn field<'a>(v: &'a Json, key: &str) -> Result<&'a Json, DecodeError> {
+    v.get(key)
+        .ok_or_else(|| DecodeError::new("missing required field").at(key))
+}
+
+/// Decodes an array item by item, with `[i]` path context.
+fn list<T>(
+    v: &Json,
+    mut item: impl FnMut(&Json) -> Result<T, DecodeError>,
+) -> Result<Vec<T>, DecodeError> {
+    match v {
+        Json::Arr(items) => items
+            .iter()
+            .enumerate()
+            .map(|(i, x)| item(x).map_err(|e| e.at(&format!("[{i}]"))))
+            .collect(),
+        other => Err(DecodeError::new(format!(
+            "expected array, found {}",
+            other.type_name()
+        ))),
     }
+}
+
+fn optimizer_document(optimizer: &Optimizer, tensor: TensorOut) -> Json {
+    match optimizer {
+        Optimizer::Sgd { lr } => {
+            enums::tagged("Sgd", Json::obj(vec![("lr", Json::Num(f64::from(*lr)))]))
+        }
+        Optimizer::Momentum {
+            lr,
+            momentum,
+            velocity,
+        } => enums::tagged(
+            "Momentum",
+            Json::obj(vec![
+                ("lr", Json::Num(f64::from(*lr))),
+                ("momentum", Json::Num(f64::from(*momentum))),
+                ("velocity", tensor_list(velocity, tensor)),
+            ]),
+        ),
+    }
+}
+
+fn optimizer_from_document(v: &Json, tensor: &mut TensorIn) -> Result<Optimizer, DecodeError> {
+    let (name, payload) = enums::variant(v)?;
+    match name {
+        "Sgd" => Ok(Optimizer::Sgd {
+            lr: payload.req("lr").map_err(|e| e.at("Sgd"))?,
+        }),
+        "Momentum" => Ok(Optimizer::Momentum {
+            lr: payload.req("lr").map_err(|e| e.at("Momentum"))?,
+            momentum: payload.req("momentum").map_err(|e| e.at("Momentum"))?,
+            velocity: field(payload, "velocity")
+                .and_then(|v| list(v, tensor).map_err(|e| e.at("velocity")))
+                .map_err(|e| e.at("Momentum"))?,
+        }),
+        other => Err(enums::unknown(other, &["Sgd", "Momentum"])),
+    }
+}
+
+/// The v1 tensor reader: a JSON array of numbers.
+fn read_inline(v: &Json) -> Result<Vec<f32>, DecodeError> {
+    Vec::from_json(v)
 }
 
 impl ToJson for SyncMode {
@@ -227,61 +405,16 @@ impl FromJson for MonitorState {
     }
 }
 
+/// The v1 document: the whole state, tensors inline.
 impl ToJson for TrainerState {
     fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("version", Json::Num(1.0)),
-            ("step", Json::Num(self.step as f64)),
-            ("dims", Json::Num(self.dims as f64)),
-            ("hidden", Json::Num(self.hidden as f64)),
-            ("classes", Json::Num(self.classes as f64)),
-            ("params", self.params.to_json()),
-            ("optimizer", self.optimizer.to_json()),
-            ("ef", self.ef.to_json()),
-            ("mode", self.mode.to_json()),
-            ("log", self.log.to_json()),
-            ("membership", self.membership.to_json()),
-            ("monitor", self.monitor.to_json()),
-            ("fallback_active", Json::Bool(self.fallback_active)),
-            ("healthy_streak", Json::Num(self.healthy_streak as f64)),
-            (
-                "redecide_attempted",
-                Json::Bool(self.redecide_attempted),
-            ),
-            ("fallback_trips", Json::Num(self.fallback_trips as f64)),
-            ("replans", Json::Num(self.replans as f64)),
-            ("controller", self.controller.to_json()),
-        ])
+        self.document(1, inline)
     }
 }
 
 impl FromJson for TrainerState {
     fn from_json(v: &Json) -> Result<Self, DecodeError> {
-        let version: u32 = v.req("version")?;
-        if version != 1 {
-            return Err(DecodeError::new(format!(
-                "unsupported checkpoint version {version} (this build reads v1)"
-            )));
-        }
-        Ok(Self {
-            step: v.req("step")?,
-            dims: v.req("dims")?,
-            hidden: v.req("hidden")?,
-            classes: v.req("classes")?,
-            params: v.req("params")?,
-            optimizer: v.req("optimizer")?,
-            ef: v.req("ef")?,
-            mode: v.req("mode")?,
-            log: v.req("log")?,
-            membership: v.req("membership")?,
-            monitor: v.opt("monitor")?,
-            fallback_active: v.req("fallback_active")?,
-            healthy_streak: v.req("healthy_streak")?,
-            redecide_attempted: v.req("redecide_attempted")?,
-            fallback_trips: v.req("fallback_trips")?,
-            replans: v.req("replans")?,
-            controller: v.opt("controller")?,
-        })
+        Self::from_document(v, 1, &mut read_inline)
     }
 }
 
@@ -318,73 +451,178 @@ impl From<std::io::Error> for CheckpointError {
     }
 }
 
-const MAGIC: &str = "ESPRESSO-CKPT v1";
+const MAGIC_V1: &str = "ESPRESSO-CKPT v1";
+const MAGIC_V2: &str = "ESPRESSO-CKPT v2";
 
-/// Renders `state` in the on-disk checkpoint format (header + payload).
+fn header_v1(len: u64, hash: u64) -> String {
+    format!("{MAGIC_V1} len={len} fnv1a64={hash:016x}")
+}
+
+fn header_v2(len: u64, meta: u64, hash: u64) -> String {
+    format!("{MAGIC_V2} len={len} meta={meta} fnv1a64={hash:016x}")
+}
+
+/// Renders `state` in the on-disk checkpoint format (v2 header + payload).
 pub fn encode_file(state: &TrainerState) -> Vec<u8> {
-    let payload = Json::encode(state).into_bytes();
-    let header = format!(
-        "{MAGIC} len={} fnv1a64={:016x}\n",
-        payload.len(),
-        espresso_json::fnv1a64(&payload)
-    );
-    let mut bytes = header.into_bytes();
-    bytes.extend_from_slice(&payload);
+    let meta = state.meta();
+    let elements: usize = state.tensors().map(<[f32]>::len).sum();
+    let len = meta.len() + 4 * elements;
+    let header = header_v2(len as u64, meta.len() as u64, state.payload_hash(&meta));
+    let mut bytes = Vec::with_capacity(header.len() + 1 + len);
+    bytes.extend_from_slice(header.as_bytes());
+    bytes.push(b'\n');
+    bytes.extend_from_slice(meta.as_bytes());
+    for tensor in state.tensors() {
+        put_le(tensor, &mut |le| bytes.extend_from_slice(le));
+    }
     bytes
 }
 
-/// Parses the on-disk checkpoint format, verifying length and checksum.
+/// Parses the on-disk checkpoint format (v2, or v1 from older builds),
+/// verifying length and checksum.
 ///
 /// # Errors
 ///
 /// [`CheckpointError::Corrupt`] naming the first integrity violation
-/// found: bad header, payload length mismatch, checksum mismatch, or an
-/// undecodable payload.
+/// found: bad header, payload length mismatch, checksum mismatch, element
+/// counts that disagree with the tensor section, or an undecodable
+/// payload.
 pub fn decode_file(bytes: &[u8]) -> Result<TrainerState, CheckpointError> {
-    let corrupt = |message: String| CheckpointError::Corrupt { message };
+    decode(bytes).map_err(|message| CheckpointError::Corrupt { message })
+}
+
+fn decode(bytes: &[u8]) -> Result<TrainerState, String> {
     let newline = bytes
         .iter()
         .position(|&b| b == b'\n')
-        .ok_or_else(|| corrupt("missing header line".into()))?;
-    let header = std::str::from_utf8(&bytes[..newline])
-        .map_err(|_| corrupt("header is not UTF-8".into()))?;
-    let rest = header
-        .strip_prefix(MAGIC)
-        .ok_or_else(|| corrupt(format!("bad magic in header `{header}`")))?;
-    let mut len: Option<usize> = None;
-    let mut hash: Option<u64> = None;
-    for field in rest.split_whitespace() {
-        if let Some(v) = field.strip_prefix("len=") {
-            len = Some(
-                v.parse()
-                    .map_err(|_| corrupt(format!("bad len field `{v}`")))?,
-            );
-        } else if let Some(v) = field.strip_prefix("fnv1a64=") {
-            hash = Some(
-                u64::from_str_radix(v, 16)
-                    .map_err(|_| corrupt(format!("bad fnv1a64 field `{v}`")))?,
-            );
-        } else {
-            return Err(corrupt(format!("unknown header field `{field}`")));
-        }
-    }
-    let len = len.ok_or_else(|| corrupt("header missing len field".into()))?;
-    let hash = hash.ok_or_else(|| corrupt("header missing fnv1a64 field".into()))?;
+        .ok_or("missing header line")?;
+    let header = std::str::from_utf8(&bytes[..newline]).map_err(|_| "header is not UTF-8")?;
     let payload = &bytes[newline + 1..];
-    if payload.len() != len {
-        return Err(corrupt(format!(
+    if let Some(rest) = header.strip_prefix(MAGIC_V2) {
+        let [len, meta, hash] = header_fields(rest, ["len", "meta", "fnv1a64"])?;
+        check_canonical(header, &header_v2(len, meta, hash))?;
+        verify(payload, len, hash)?;
+        decode_v2(payload, meta)
+    } else if let Some(rest) = header.strip_prefix(MAGIC_V1) {
+        let [len, hash] = header_fields(rest, ["len", "fnv1a64"])?;
+        check_canonical(header, &header_v1(len, hash))?;
+        verify(payload, len, hash)?;
+        let text = std::str::from_utf8(payload).map_err(|_| "payload is not UTF-8")?;
+        Json::decode(text).map_err(|e| format!("payload does not decode: {e}"))
+    } else {
+        Err(format!("bad magic in header `{}`", excerpt(header)))
+    }
+}
+
+/// Reads the `key=value` fields after the magic, in the order `keys`
+/// names them: `fnv1a64` in hex, the rest in decimal.
+fn header_fields<const K: usize>(rest: &str, keys: [&str; K]) -> Result<[u64; K], String> {
+    let mut values = [0u64; K];
+    let mut fields = rest.split_whitespace();
+    for (value, key) in values.iter_mut().zip(keys) {
+        let field = fields
+            .next()
+            .ok_or_else(|| format!("header missing {key} field"))?;
+        let text = field
+            .strip_prefix(key)
+            .and_then(|f| f.strip_prefix('='))
+            .ok_or_else(|| format!("expected {key}= in header, found `{}`", excerpt(field)))?;
+        let radix = if key == "fnv1a64" { 16 } else { 10 };
+        *value = u64::from_str_radix(text, radix)
+            .map_err(|_| format!("bad {key} field `{}`", excerpt(text)))?;
+    }
+    match fields.next() {
+        Some(extra) => Err(format!("unknown header field `{}`", excerpt(extra))),
+        None => Ok(values),
+    }
+}
+
+/// The header must be byte for byte the one the encoder writes for the
+/// values it parsed to: `+` signs, leading zeros, upper-case hex and
+/// stray whitespace all parse to the same values but are damage.
+fn check_canonical(header: &str, canonical: &str) -> Result<(), String> {
+    if header == canonical {
+        Ok(())
+    } else {
+        Err(format!(
+            "header `{}` is not in canonical form",
+            excerpt(header)
+        ))
+    }
+}
+
+fn verify(payload: &[u8], len: u64, hash: u64) -> Result<(), String> {
+    if payload.len() as u64 != len {
+        return Err(format!(
             "payload is {} bytes, header says {len} (torn write?)",
             payload.len()
-        )));
+        ));
     }
-    let actual = espresso_json::fnv1a64(payload);
+    let actual = fnv1a64(payload);
     if actual != hash {
-        return Err(corrupt(format!(
+        return Err(format!(
             "checksum mismatch: payload hashes to {actual:016x}, header says {hash:016x}"
-        )));
+        ));
     }
-    let text = std::str::from_utf8(payload).map_err(|_| corrupt("payload is not UTF-8".into()))?;
-    Json::decode(text).map_err(|e| corrupt(format!("payload does not decode: {e}")))
+    Ok(())
+}
+
+/// Splits a verified v2 payload at `meta` and rebuilds the state. The
+/// element counts are summed and checked against the tensor section
+/// before any tensor is allocated.
+fn decode_v2(payload: &[u8], meta: u64) -> Result<TrainerState, String> {
+    let meta = usize::try_from(meta)
+        .ok()
+        .filter(|&m| m <= payload.len())
+        .ok_or_else(|| format!("meta={meta} exceeds the {}-byte payload", payload.len()))?;
+    let (meta, section) = payload.split_at(meta);
+    if section.len() % 4 != 0 {
+        return Err(format!(
+            "tensor section is {} bytes, not a whole number of f32s",
+            section.len()
+        ));
+    }
+    let text = std::str::from_utf8(meta).map_err(|_| "metadata is not UTF-8")?;
+    let doc = Json::parse(text).map_err(|e| format!("metadata does not parse: {e}"))?;
+    let undecodable = |e: DecodeError| format!("metadata does not decode: {e}");
+
+    let mut elements = 0usize;
+    TrainerState::from_document(&doc, 2, &mut |v| {
+        elements = elements
+            .checked_add(usize::from_json(v)?)
+            .ok_or_else(|| DecodeError::new("element counts overflow"))?;
+        Ok(Vec::new())
+    })
+    .map_err(undecodable)?;
+    if elements != section.len() / 4 {
+        return Err(format!(
+            "metadata counts {elements} elements, the tensor section holds {}",
+            section.len() / 4
+        ));
+    }
+
+    let mut rest = section;
+    TrainerState::from_document(&doc, 2, &mut |v| {
+        let (tensor, tail) = usize::from_json(v)?
+            .checked_mul(4)
+            .and_then(|bytes| rest.split_at_checked(bytes))
+            .ok_or_else(|| DecodeError::new("tensor overruns the tensor section"))?;
+        rest = tail;
+        Ok(tensor
+            .chunks_exact(4)
+            .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+            .collect())
+    })
+    .map_err(undecodable)
+}
+
+/// At most 64 characters of `text`, for error messages about headers
+/// that may run into the payload.
+fn excerpt(text: &str) -> String {
+    match text.char_indices().nth(64) {
+        Some((cut, _)) => format!("{}…", &text[..cut]),
+        None => text.to_string(),
+    }
 }
 
 /// A two-generation checkpoint directory: `checkpoint.json` (current) and
@@ -416,9 +654,10 @@ impl CheckpointStore {
         self.dir.join("checkpoint.prev.json")
     }
 
-    /// Atomically persists `state`: write temp, rotate current to
-    /// previous, rename temp into place. A crash between any two of these
-    /// operations leaves at least one loadable generation.
+    /// Persists `state`: write temp, rotate current to previous, rename
+    /// temp into place. A process crash between any two of these
+    /// operations leaves at least one loadable generation; nothing is
+    /// fsynced, so a power loss is not covered.
     ///
     /// # Errors
     ///
@@ -542,18 +781,50 @@ mod tests {
         assert_eq!(back, state);
     }
 
+    /// Every position of a small file, two substitutions each: header,
+    /// metadata and tensor section alike.
     #[test]
     fn any_single_byte_substitution_is_detected() {
-        let state = sample_state();
-        let bytes = encode_file(&state);
-        // Sample positions across header and payload (full sweep lives in
-        // the proptest suite).
-        for pos in [0, 5, 17, 30, bytes.len() / 2, bytes.len() - 1] {
-            let mut flipped = bytes.clone();
-            flipped[pos] ^= 0x20;
+        let bytes = encode_file(&sample_state());
+        for pos in 0..bytes.len() {
+            for mask in [0x01, 0x20] {
+                let mut flipped = bytes.clone();
+                flipped[pos] ^= mask;
+                assert!(
+                    matches!(decode_file(&flipped), Err(CheckpointError::Corrupt { .. })),
+                    "substitution ^{mask:#04x} at byte {pos} went undetected"
+                );
+            }
+        }
+    }
+
+    /// Header damage that still parses to the same values.
+    #[test]
+    fn non_canonical_headers_are_rejected() {
+        let bytes = encode_file(&sample_state());
+        let newline = bytes.iter().position(|&b| b == b'\n').unwrap();
+        let header = std::str::from_utf8(&bytes[..newline]).unwrap();
+        let hex = header.rsplit('=').next().unwrap();
+        let mut variants = vec![
+            header.replacen(" len=", "\tlen=", 1),
+            header.replacen(" meta=", "  meta=", 1),
+            header.replacen("len=", "len=+", 1),
+            header.replacen("meta=", "meta=0", 1),
+            header.replacen(hex, &hex.to_uppercase(), 1),
+            format!("{header} "),
+        ];
+        variants.retain(|v| v != header);
+        assert!(
+            variants.len() >= 5,
+            "the hash has a hex letter to upper-case"
+        );
+        for variant in variants {
+            let mut damaged = variant.into_bytes();
+            damaged.extend_from_slice(&bytes[newline..]);
             assert!(
-                matches!(decode_file(&flipped), Err(CheckpointError::Corrupt { .. })),
-                "substitution at byte {pos} went undetected"
+                matches!(decode_file(&damaged), Err(CheckpointError::Corrupt { .. })),
+                "header `{}` was accepted",
+                String::from_utf8_lossy(&damaged[..damaged.len() + newline - bytes.len()])
             );
         }
     }
@@ -561,7 +832,7 @@ mod tests {
     #[test]
     fn truncation_is_detected() {
         let bytes = encode_file(&sample_state());
-        for cut in [bytes.len() - 1, bytes.len() / 2, 10] {
+        for cut in [bytes.len() - 1, bytes.len() - 4, bytes.len() / 2, 10, 0] {
             assert!(
                 matches!(
                     decode_file(&bytes[..cut]),
@@ -570,6 +841,88 @@ mod tests {
                 "truncation to {cut} bytes went undetected"
             );
         }
+    }
+
+    #[test]
+    fn trailing_bytes_are_detected() {
+        let bytes = encode_file(&sample_state());
+        for extra in [&[0u8][..], &[0, 0, 0, 0], b"\n"] {
+            let mut longer = bytes.clone();
+            longer.extend_from_slice(extra);
+            assert!(
+                matches!(decode_file(&longer), Err(CheckpointError::Corrupt { .. })),
+                "{} trailing bytes went undetected",
+                extra.len()
+            );
+        }
+    }
+
+    #[test]
+    fn fingerprint_is_the_file_checksum() {
+        let state = sample_state();
+        let bytes = encode_file(&state);
+        let header =
+            std::str::from_utf8(&bytes[..bytes.iter().position(|&b| b == b'\n').unwrap()]).unwrap();
+        assert!(header.ends_with(&format!("fnv1a64={:016x}", state.fingerprint())));
+
+        let mut moved = state.clone();
+        moved.ef[1][0] = ErrorFeedback::from_residual(vec![-0.0, 3.75]);
+        assert_ne!(moved.fingerprint(), state.fingerprint(), "-0.0 is not 0.0");
+        let mut stepped = state.clone();
+        stepped.step += 1;
+        assert_ne!(stepped.fingerprint(), state.fingerprint());
+    }
+
+    /// A v1 file as older builds wrote it: the unchanged JSON document of
+    /// the state behind the v1 header.
+    fn v1_file(state: &TrainerState) -> Vec<u8> {
+        let payload = Json::encode(state);
+        format!(
+            "ESPRESSO-CKPT v1 len={} fnv1a64={:016x}\n{payload}",
+            payload.len(),
+            fnv1a64(payload.as_bytes())
+        )
+        .into_bytes()
+    }
+
+    #[test]
+    fn v1_files_still_decode() {
+        let state = sample_state();
+        let bytes = v1_file(&state);
+        assert_eq!(decode_file(&bytes).unwrap(), state);
+        let mut flipped = bytes.clone();
+        let mid = flipped.len() / 2;
+        flipped[mid] ^= 0x20;
+        assert!(matches!(
+            decode_file(&flipped),
+            Err(CheckpointError::Corrupt { .. })
+        ));
+    }
+
+    #[test]
+    fn store_falls_back_from_corrupt_v2_to_v1_previous_generation() {
+        let dir = std::env::temp_dir().join(format!("espresso-ckpt-v1-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let store = CheckpointStore::new(&dir).unwrap();
+        let mut old = sample_state();
+        old.step = 10;
+        fs::write(store.current_path(), v1_file(&old)).unwrap();
+        assert_eq!(
+            store.load().unwrap().unwrap(),
+            old,
+            "a v1 directory resumes"
+        );
+
+        let mut new = sample_state();
+        new.step = 20;
+        store.save(&new).unwrap();
+        assert_eq!(store.load().unwrap().unwrap(), new);
+        let mut bytes = fs::read(store.current_path()).unwrap();
+        let last = bytes.len() - 1;
+        bytes[last] ^= 0xff;
+        fs::write(store.current_path(), &bytes).unwrap();
+        assert_eq!(store.load().unwrap().unwrap(), old);
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -1,19 +1,30 @@
-//! Property-based tests of the checkpoint file format.
+//! Property-based tests of the checkpoint file format (v2: JSON metadata
+//! plus a raw little-endian `f32` tensor section).
 //!
-//! Two properties back the fault-tolerance headline guarantee:
+//! Three properties back the fault-tolerance headline guarantee:
 //!
-//! 1. **Bitwise round-trip** — for arbitrary finite trainer states,
+//! 1. **Bitwise round-trip** — for arbitrary trainer states,
 //!    `encode_file -> decode_file` reproduces every field exactly,
-//!    including the bit patterns of all `f32` weights and residuals.
-//! 2. **Total corruption detection** — flipping any single byte anywhere
-//!    in an encoded checkpoint makes `decode_file` return
-//!    `CheckpointError::Corrupt` (never a panic, never a silently wrong
-//!    state). Payload substitutions are caught by the FNV-1a checksum
-//!    (every round is a bijection in the accumulator), and header bytes
-//!    by the header parse or length/checksum mismatch.
+//!    including the bit patterns of all `f32` weights and residuals —
+//!    `-0.0`, subnormals, infinities and NaN payloads too, since the
+//!    tensor section stores raw bits.
+//! 2. **Total corruption detection** — substituting any single byte
+//!    anywhere in an encoded checkpoint, truncating it, or appending to it
+//!    makes `decode_file` return `CheckpointError::Corrupt` (never a
+//!    panic, never a silently wrong state). Payload substitutions are
+//!    caught by the FNV-1a checksum (every round is a bijection in the
+//!    accumulator), and header bytes by the canonical-header check or
+//!    length/checksum mismatch. Positions are sampled over the whole file
+//!    and, separately, inside the tensor section and the `len=` / `meta=`
+//!    header values.
+//! 3. **Consistent metadata** — a file whose header and checksum are valid
+//!    but whose metadata element counts disagree with the tensor section
+//!    is `Corrupt`, without a panic or an allocation sized from the bad
+//!    count.
 
 use espresso_cluster::{ClusterHealth, LinkState, Membership};
 use espresso_gc::{ErrorFeedback, GcAlgorithm};
+use espresso_json::{fnv1a64, Json};
 use espresso_training::checkpoint::{decode_file, encode_file, CheckpointError, MonitorState, TrainerState};
 use espresso_training::distributed::{SyncMode, TrainLog};
 use espresso_training::optimizer::Optimizer;
@@ -139,6 +150,140 @@ fn arbitrary_state(seed: u64) -> TrainerState {
     }
 }
 
+/// Every tensor element's bit pattern, in the v2 section's order:
+/// `params`, momentum velocity, then `ef` row by row.
+fn tensor_bits(state: &TrainerState) -> Vec<u32> {
+    let velocity: &[Vec<f32>] = match &state.optimizer {
+        Optimizer::Momentum { velocity, .. } => velocity,
+        Optimizer::Sgd { .. } => &[],
+    };
+    let residuals = state.ef.iter().flatten().map(|e| e.residual());
+    state
+        .params
+        .iter()
+        .chain(velocity)
+        .map(Vec::as_slice)
+        .chain(residuals)
+        .flatten()
+        .map(|v| v.to_bits())
+        .collect()
+}
+
+/// Values JSON cannot carry and decimal round trips could blur: signed
+/// zero, subnormals, infinities and NaNs with distinct payloads.
+const SPECIAL_BITS: [u32; 10] = [
+    0x8000_0000, // -0.0
+    0x0000_0001, // smallest subnormal
+    0x807f_ffff, // largest negative subnormal
+    0x7f80_0000, // +inf
+    0xff80_0000, // -inf
+    0x7fc0_0000, // canonical quiet NaN
+    0x7fc0_1234, // quiet NaN with a payload
+    0x7f80_0001, // signalling NaN
+    0xffbf_ffff, // negative signalling NaN, full payload
+    0xffff_ffff, // negative quiet NaN, full payload
+];
+
+/// Overwrites random elements of every tensor of `state` with special
+/// values.
+fn sprinkle_specials(state: &mut TrainerState, rng: &mut StdRng) {
+    let sprinkle = |tensor: &mut Vec<f32>, rng: &mut StdRng| {
+        for _ in 0..3 {
+            if !tensor.is_empty() {
+                let at = rng.random_range(0..tensor.len());
+                tensor[at] = f32::from_bits(SPECIAL_BITS[rng.random_range(0..SPECIAL_BITS.len())]);
+            }
+        }
+    };
+    for tensor in &mut state.params {
+        sprinkle(tensor, rng);
+    }
+    if let Optimizer::Momentum { velocity, .. } = &mut state.optimizer {
+        for tensor in velocity {
+            sprinkle(tensor, rng);
+        }
+    }
+    for row in &mut state.ef {
+        for ef in row.iter_mut() {
+            let mut residual = ef.residual().to_vec();
+            sprinkle(&mut residual, rng);
+            *ef = ErrorFeedback::from_residual(residual);
+        }
+    }
+}
+
+/// The parts of an encoded v2 file: header line length (newline
+/// included), metadata text, and tensor section.
+fn split_v2(file: &[u8]) -> (usize, String, Vec<u8>) {
+    let newline = file.iter().position(|&b| b == b'\n').expect("header line");
+    let header = std::str::from_utf8(&file[..newline]).expect("UTF-8 header");
+    let meta_len: usize = header
+        .split(' ')
+        .find_map(|f| f.strip_prefix("meta="))
+        .expect("meta field")
+        .parse()
+        .expect("decimal meta");
+    let payload = &file[newline + 1..];
+    let meta = std::str::from_utf8(&payload[..meta_len]).expect("UTF-8 metadata");
+    (newline + 1, meta.to_string(), payload[meta_len..].to_vec())
+}
+
+/// Reassembles a v2 file with a valid header and checksum around
+/// arbitrary metadata and tensor section.
+fn join_v2(meta: &str, section: &[u8]) -> Vec<u8> {
+    let mut payload = meta.as_bytes().to_vec();
+    payload.extend_from_slice(section);
+    let mut file = format!(
+        "ESPRESSO-CKPT v2 len={} meta={} fnv1a64={:016x}\n",
+        payload.len(),
+        meta.len(),
+        fnv1a64(&payload)
+    )
+    .into_bytes();
+    file.extend_from_slice(&payload);
+    file
+}
+
+/// Byte range of the value of header field `key` (`len`, `meta`).
+fn header_value(file: &[u8], key: &str) -> std::ops::Range<usize> {
+    let newline = file.iter().position(|&b| b == b'\n').expect("header line");
+    let header = std::str::from_utf8(&file[..newline]).expect("UTF-8 header");
+    let start = header.find(&format!(" {key}=")).expect("field present") + key.len() + 2;
+    let end = start + header[start..].find(' ').expect("a field follows");
+    start..end
+}
+
+/// Amounts a `params` count is moved by: off by a few, fractional, too
+/// large to allocate, beyond `usize` (rejected), and exactly 2^64, which
+/// saturates to `usize::MAX` so that summing the counts overflows.
+const COUNT_DELTAS: [f64; 9] = [
+    -3.0,
+    -1.0,
+    1.0,
+    2.0,
+    0.5,
+    1e12,
+    4.6e18,
+    1e300,
+    18_446_744_073_709_551_616.0,
+];
+
+fn doc_field<'a>(doc: &'a mut Json, key: &str) -> Option<&'a mut Json> {
+    match doc {
+        Json::Obj(pairs) => pairs.iter_mut().find(|(k, _)| k == key).map(|(_, v)| v),
+        _ => None,
+    }
+}
+
+/// Asserts that `bytes` decodes to `CheckpointError::Corrupt`.
+fn assert_corrupt(bytes: &[u8], what: &str) {
+    match decode_file(bytes) {
+        Err(CheckpointError::Corrupt { .. }) => {}
+        Err(other) => panic!("{what}: wrong error kind: {other}"),
+        Ok(decoded) => panic!("{what} went undetected (decoded step {})", decoded.step),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -201,5 +346,99 @@ proptest! {
             "truncation to {cut} of {} bytes went undetected",
             good.len()
         );
+    }
+
+    #[test]
+    fn special_floats_round_trip_by_bit_pattern(seed in 0u64..100_000) {
+        let mut state = arbitrary_state(seed);
+        sprinkle_specials(&mut state, &mut StdRng::seed_from_u64(seed ^ 0x5bec));
+        let decoded = decode_file(&encode_file(&state)).expect("intact file decodes");
+        // PartialEq cannot compare NaNs; bit patterns can.
+        prop_assert_eq!(tensor_bits(&decoded), tensor_bits(&state));
+        // The fingerprint covers every other field.
+        prop_assert_eq!(decoded.fingerprint(), state.fingerprint());
+    }
+
+    #[test]
+    fn substitutions_in_section_and_header_values_are_detected(
+        seed in 0u64..10_000,
+        flip_seed in 0u64..10_000,
+    ) {
+        let state = arbitrary_state(seed);
+        let good = encode_file(&state);
+        let (header_len, meta, section) = split_v2(&good);
+        let section_start = header_len + meta.len();
+        prop_assert_eq!(section.len(), 4 * tensor_bits(&state).len());
+        let regions = [
+            ("tensor section", section_start..good.len()),
+            ("len= value", header_value(&good, "len")),
+            ("meta= value", header_value(&good, "meta")),
+        ];
+        let mut rng = StdRng::seed_from_u64(flip_seed);
+        for (name, range) in regions {
+            for _ in 0..6 {
+                let pos = rng.random_range(range.clone());
+                let mut bad = good.clone();
+                bad[pos] = bad[pos].wrapping_add(rng.random_range(1u8..=255));
+                assert_corrupt(&bad, &format!("substitution at byte {pos} ({name})"));
+            }
+        }
+    }
+
+    #[test]
+    fn truncated_or_extended_sections_are_detected(
+        seed in 0u64..10_000,
+        cut in 1usize..64,
+        extra in prop::collection::vec(0u8..=255, 1..16),
+    ) {
+        let good = encode_file(&arbitrary_state(seed));
+        let (header_len, meta, _) = split_v2(&good);
+        let section_start = header_len + meta.len();
+        // Cuts inside the tensor section, incl. whole-f32 ones.
+        let keep = good.len().saturating_sub(cut).max(section_start);
+        if keep < good.len() {
+            assert_corrupt(&good[..keep], &format!("truncation to {keep} bytes"));
+        }
+        let mut longer = good.clone();
+        longer.extend_from_slice(&extra);
+        assert_corrupt(&longer, &format!("{} trailing bytes", extra.len()));
+    }
+
+    #[test]
+    fn counts_disagreeing_with_the_section_are_corrupt(
+        seed in 0u64..10_000,
+        which in 0usize..64,
+        delta in 0usize..COUNT_DELTAS.len(),
+    ) {
+        let state = arbitrary_state(seed);
+        let (_, meta, section) = split_v2(&encode_file(&state));
+        // Sanity: the reassembled file is accepted as is.
+        prop_assert!(decode_file(&join_v2(&meta, &section)).is_ok());
+
+        // Change one of the four `params` counts by a small or a huge
+        // amount (a huge count must not size an allocation).
+        let mut doc = Json::parse(&meta).expect("metadata parses");
+        let Some(Json::Arr(params)) = doc_field(&mut doc, "params") else {
+            panic!("params is not an array");
+        };
+        let slot = &mut params[which % 4];
+        let Json::Num(count) = *slot else {
+            panic!("count is not a number");
+        };
+        let changed = count + COUNT_DELTAS[delta];
+        if changed != count {
+            *slot = Json::Num(changed);
+            assert_corrupt(&join_v2(&doc.render(), &section), &format!("count {count} -> {changed}"));
+        }
+
+        // Or keep the metadata and grow / shrink the section by whole f32s.
+        let words = 1 + which % 4;
+        let mut grown = section.clone();
+        grown.extend(std::iter::repeat_n(0u8, 4 * words));
+        assert_corrupt(&join_v2(&meta, &grown), "a section longer than the counts");
+        if section.len() >= 4 * words {
+            let shrunk = &section[..section.len() - 4 * words];
+            assert_corrupt(&join_v2(&meta, shrunk), "a section shorter than the counts");
+        }
     }
 }

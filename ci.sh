@@ -17,6 +17,11 @@ step "build (release)" cargo build --release --workspace --all-targets
 
 step "test" cargo test -q --workspace
 
+# The FP16 conversion kernels against their scalar oracle on every one of
+# the 2^32 f32 bit patterns; the debug test step above covers a strided
+# sample and every exponent edge.
+step "fp16 sweep (release)" cargo test --release -q -p espresso-gc fp16
+
 step "clippy (-D warnings)" cargo clippy --workspace --all-targets -- -D warnings
 
 # The end-to-end benchmark (e2ebench/) is a Cargo workspace of its own,

@@ -7,7 +7,7 @@
 //! indivisible and divisible schemes.
 
 use crate::{
-    compressor::{CompressCtx, Compressor},
+    compressor::{Accumulate, CompressCtx, Compressor},
     error_feedback::ErrorFeedback,
     tensor::CompressedTensor,
 };
@@ -25,9 +25,7 @@ pub fn aggregate_dense(
     let mut acc = vec![0.0f32; len];
     for part in parts {
         assert_eq!(part.len(), len, "aggregating mismatched tensor lengths");
-        for (a, v) in acc.iter_mut().zip(compressor.decompress(part)) {
-            *a += v;
-        }
+        compressor.accumulate_into(part, &mut acc, Accumulate::Add);
     }
     acc
 }
@@ -44,9 +42,9 @@ pub fn aggregate_dense(
 ///
 /// Panics if `grads` and `ef_states` disagree on the worker count, or if
 /// gradients have inconsistent lengths.
-pub fn synchronize(
+pub fn synchronize<G: AsRef<[f32]>>(
     compressor: &dyn Compressor,
-    grads: &[Vec<f32>],
+    grads: &[G],
     ef_states: &mut [ErrorFeedback],
     round: u64,
     tensor: u64,
@@ -69,9 +67,9 @@ pub fn synchronize(
 /// from the worker count or if *no* push was delivered (a round where
 /// every message is lost has no defined result — callers should treat it
 /// as a failed iteration instead).
-pub fn synchronize_masked(
+pub fn synchronize_masked<G: AsRef<[f32]>>(
     compressor: &dyn Compressor,
-    grads: &[Vec<f32>],
+    grads: &[G],
     ef_states: &mut [ErrorFeedback],
     round: u64,
     tensor: u64,
@@ -87,7 +85,7 @@ pub fn synchronize_masked(
         assert_eq!(mask.len(), grads.len(), "one delivery flag per worker");
         assert!(mask.iter().any(|&d| d), "every push in the round was lost");
     }
-    let len = grads[0].len();
+    let len = grads[0].as_ref().len();
     let compressed: Vec<CompressedTensor> = grads
         .iter()
         .zip(ef_states.iter_mut())
@@ -98,7 +96,7 @@ pub fn synchronize_masked(
                 worker: worker as u64,
                 tensor,
             };
-            ef.compress_with_feedback(compressor, grad, ctx)
+            ef.compress_with_feedback(compressor, grad.as_ref(), ctx)
         })
         .collect();
     let arrived: Vec<CompressedTensor> = match delivered {

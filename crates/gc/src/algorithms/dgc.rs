@@ -9,7 +9,7 @@
 
 use crate::{
     algorithms::kept_elements,
-    compressor::{CompressCtx, Compressor},
+    compressor::{Accumulate, CompressCtx, Compressor},
     tensor::CompressedTensor,
 };
 
@@ -86,6 +86,26 @@ impl Compressor for Dgc {
                 out
             }
             other => panic!("DGC cannot decompress {other:?}"),
+        }
+    }
+
+    /// Touches only the kept indices: every other element decompresses to
+    /// `+0.0`, which leaves the accumulator's bits unchanged under the
+    /// trait's contract.
+    fn accumulate_into(&self, compressed: &CompressedTensor, acc: &mut [f32], op: Accumulate) {
+        let CompressedTensor::Sparse {
+            len,
+            indices,
+            values,
+        } = compressed
+        else {
+            panic!("DGC cannot decompress {compressed:?}");
+        };
+        assert_eq!(*len, acc.len(), "accumulating mismatched tensor lengths");
+        let kept = indices.iter().zip(values);
+        match op {
+            Accumulate::Add => kept.for_each(|(&i, &v)| acc[i as usize] += v),
+            Accumulate::Subtract => kept.for_each(|(&i, &v)| acc[i as usize] -= v),
         }
     }
 

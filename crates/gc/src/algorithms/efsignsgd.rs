@@ -7,7 +7,7 @@
 //! the error-feedback memory.
 
 use crate::{
-    compressor::{CompressCtx, Compressor},
+    compressor::{Accumulate, CompressCtx, Compressor},
     tensor::CompressedTensor,
 };
 
@@ -27,6 +27,22 @@ fn words(elems: usize) -> usize {
     elems.div_ceil(64)
 }
 
+/// Calls `f(&mut out[i], ±scale)` for every element of a sign tensor,
+/// one 64-lane word at a time. The sign is applied by flipping the scale's
+/// sign bit, which is exactly `-scale`.
+fn for_each_signed(compressed: &CompressedTensor, out: &mut [f32], f: impl Fn(&mut f32, f32)) {
+    let CompressedTensor::Signs { scale, bits, .. } = compressed else {
+        panic!("EFSignSGD cannot decompress {compressed:?}");
+    };
+    let scale = scale.to_bits();
+    for (lanes, &word) in out.chunks_mut(64).zip(bits) {
+        for (j, o) in lanes.iter_mut().enumerate() {
+            let negative = (!(word >> j) & 1) as u32;
+            f(o, f32::from_bits(scale ^ (negative << 31)));
+        }
+    }
+}
+
 impl Compressor for EfSignSgd {
     fn name(&self) -> &'static str {
         "EFSignSGD"
@@ -34,17 +50,22 @@ impl Compressor for EfSignSgd {
 
     fn compress(&self, grad: &[f32], _ctx: CompressCtx) -> CompressedTensor {
         let n = grad.len();
+        // A sequential f32 fold, in element order: reassociating it would
+        // change the scale's bits.
         let scale = if n == 0 {
             0.0
         } else {
             grad.iter().map(|g| g.abs()).sum::<f32>() / n as f32
         };
-        let mut bits = vec![0u64; words(n)];
-        for (i, &g) in grad.iter().enumerate() {
-            if g >= 0.0 {
-                bits[i / 64] |= 1u64 << (i % 64);
-            }
-        }
+        let bits = grad
+            .chunks(64)
+            .map(|lanes| {
+                lanes
+                    .iter()
+                    .enumerate()
+                    .fold(0u64, |word, (j, &g)| word | (u64::from(g >= 0.0) << j))
+            })
+            .collect();
         CompressedTensor::Signs {
             len: n,
             scale,
@@ -53,17 +74,16 @@ impl Compressor for EfSignSgd {
     }
 
     fn decompress(&self, compressed: &CompressedTensor) -> Vec<f32> {
-        match compressed {
-            CompressedTensor::Signs { len, scale, bits } => (0..*len)
-                .map(|i| {
-                    if bits[i / 64] >> (i % 64) & 1 == 1 {
-                        *scale
-                    } else {
-                        -*scale
-                    }
-                })
-                .collect(),
-            other => panic!("EFSignSGD cannot decompress {other:?}"),
+        let mut out = vec![0.0; compressed.len()];
+        for_each_signed(compressed, &mut out, |o, v| *o = v);
+        out
+    }
+
+    fn accumulate_into(&self, compressed: &CompressedTensor, acc: &mut [f32], op: Accumulate) {
+        assert_eq!(compressed.len(), acc.len(), "accumulating mismatched tensor lengths");
+        match op {
+            Accumulate::Add => for_each_signed(compressed, acc, |a, v| *a += v),
+            Accumulate::Subtract => for_each_signed(compressed, acc, |a, v| *a -= v),
         }
     }
 

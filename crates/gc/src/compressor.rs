@@ -44,6 +44,15 @@ fn splitmix(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Direction of [`Compressor::accumulate_into`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Accumulate {
+    /// `acc += decompressed` — aggregation.
+    Add,
+    /// `acc -= decompressed` — the error-feedback residual update.
+    Subtract,
+}
+
 /// A gradient compression algorithm.
 ///
 /// Implementations must be deterministic given `(grad, ctx)` and must
@@ -59,6 +68,32 @@ pub trait Compressor: Send + Sync {
 
     /// Reconstructs a dense gradient from a compressed tensor.
     fn decompress(&self, compressed: &CompressedTensor) -> Vec<f32>;
+
+    /// Adds (or subtracts) the decompressed tensor into `acc`, element by
+    /// element, without materializing it: `acc[i] = acc[i] ± d[i]` where
+    /// `d = self.decompress(compressed)`.
+    ///
+    /// The default does exactly that. Overrides must be bit-identical to
+    /// it for every `acc` without `-0.0` or signalling-NaN entries — a
+    /// sparse override may skip the elements whose decompressed value is
+    /// `+0.0`, because `a + 0.0 == a` and `a - 0.0 == a` bit for bit for
+    /// every other `a`. Both callers qualify: aggregation sums into a
+    /// buffer that starts at `+0.0` (and a sum that starts at `+0.0` can
+    /// never become `-0.0`), and error feedback subtracts from a residual
+    /// it just computed (a subtraction of `+0.0` is exact for `-0.0` too).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `acc.len()` differs from `compressed.len()`, or if the
+    /// tensor is not this compressor's representation.
+    fn accumulate_into(&self, compressed: &CompressedTensor, acc: &mut [f32], op: Accumulate) {
+        assert_eq!(compressed.len(), acc.len(), "accumulating mismatched tensor lengths");
+        let dense = self.decompress(compressed);
+        match op {
+            Accumulate::Add => acc.iter_mut().zip(&dense).for_each(|(a, &d)| *a += d),
+            Accumulate::Subtract => acc.iter_mut().zip(&dense).for_each(|(a, &d)| *a -= d),
+        }
+    }
 
     /// Exact wire size in bytes for a tensor of `elems` elements.
     fn compressed_bytes(&self, elems: usize) -> usize;

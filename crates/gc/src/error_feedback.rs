@@ -8,7 +8,7 @@
 //! preserve accuracy (section 5.1), and Figure 16 validates convergence
 //! under it — reproduced in `espresso-training`.
 
-use crate::compressor::{CompressCtx, Compressor};
+use crate::compressor::{Accumulate, CompressCtx, Compressor};
 use crate::tensor::CompressedTensor;
 
 /// Per-tensor error-feedback state for one worker.
@@ -71,21 +71,15 @@ impl ErrorFeedback {
             self.residual.len(),
             "gradient length changed between iterations"
         );
-        let compensated: Vec<f32> = grad
-            .iter()
-            .zip(&self.residual)
-            .map(|(&g, &e)| g + e)
-            .collect();
-        let compressed = compressor.compress(&compensated, ctx);
-        let reconstructed = compressor.decompress(&compressed);
-        for ((r, &c), &d) in self
-            .residual
-            .iter_mut()
-            .zip(&compensated)
-            .zip(&reconstructed)
-        {
-            *r = c - d;
+        // Compensate in place: the residual becomes `g + e` (addition is
+        // commutative bit for bit), then the compression error
+        // `(g + e) - C(g + e)` — the same two roundings as materializing
+        // both intermediate tensors.
+        for (r, &g) in self.residual.iter_mut().zip(grad) {
+            *r += g;
         }
+        let compressed = compressor.compress(&self.residual, ctx);
+        compressor.accumulate_into(&compressed, &mut self.residual, Accumulate::Subtract);
         compressed
     }
 

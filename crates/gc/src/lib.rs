@@ -34,7 +34,7 @@ pub mod error_feedback;
 pub mod tensor;
 pub mod timing;
 
-pub use compressor::{CompressCtx, Compressor, GcAlgorithm};
+pub use compressor::{Accumulate, CompressCtx, Compressor, GcAlgorithm};
 pub use error_feedback::ErrorFeedback;
 pub use tensor::{quantized_code_bits, quantized_wire_bytes, CompressedTensor};
 pub use timing::{Device, DeviceProfile, TimingModel};
@@ -43,7 +43,7 @@ pub use timing::{Device, DeviceProfile, TimingModel};
 pub mod prelude {
     pub use crate::{
         aggregate::{synchronize, synchronize_masked},
-        compressor::{CompressCtx, Compressor, GcAlgorithm},
+        compressor::{Accumulate, CompressCtx, Compressor, GcAlgorithm},
         error_feedback::ErrorFeedback,
         tensor::CompressedTensor,
         timing::{Device, DeviceProfile, TimingModel},

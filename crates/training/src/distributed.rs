@@ -346,15 +346,13 @@ impl DistributedTrainer {
             mean_loss += loss / self.workers as f32;
             worker_grads.push(grads);
         }
-        // Synchronize each tensor across workers.
+        // Synchronize each tensor across workers, borrowing every worker's
+        // gradient in place.
         let synced: Vec<Vec<f32>> = (0..model.num_tensors())
             .map(|t| {
-                let per_worker: Vec<Vec<f32>> =
-                    worker_grads.iter().map(|g| g[t].clone()).collect();
-                self.grad_norm_sq[t] = per_worker
-                    .iter()
-                    .map(|g| g.iter().map(|&v| f64::from(v) * f64::from(v)).sum::<f64>())
-                    .sum::<f64>()
+                let per_worker: Vec<&[f32]> =
+                    worker_grads.iter().map(|g| g[t].as_slice()).collect();
+                self.grad_norm_sq[t] = sum_sq_per_worker(&per_worker).iter().sum::<f64>()
                     / per_worker.len() as f64;
                 match &self.compressor {
                     None => average_masked(&per_worker, delivered),
@@ -418,16 +416,50 @@ impl DistributedTrainer {
     }
 }
 
-fn average_masked(grads: &[Vec<f32>], delivered: Option<&[bool]>) -> Vec<f32> {
+/// Each tensor's squared L2 norm as an `f64`, summed in element order.
+///
+/// Every tensor keeps its own sequential chain, so each sum is exactly
+/// the plain left-to-right one; four tensors advance together so the
+/// chains' add latencies overlap instead of serializing. Chains start at
+/// `-0.0`, as `Iterator::sum` does, so even an empty tensor's sum keeps
+/// its bits.
+fn sum_sq_per_worker(tensors: &[&[f32]]) -> Vec<f64> {
+    let sq = |v: f32| f64::from(v) * f64::from(v);
+    let mut sums = Vec::with_capacity(tensors.len());
+    let mut groups = tensors.chunks_exact(4);
+    for group in groups.by_ref() {
+        let &[a, b, c, d] = group else {
+            unreachable!("chunks_exact(4) yields groups of four");
+        };
+        assert!(
+            [b, c, d].iter().all(|g| g.len() == a.len()),
+            "worker gradients differ in length"
+        );
+        let mut acc = [-0.0f64; 4];
+        for (((&a, &b), &c), &d) in a.iter().zip(b).zip(c).zip(d) {
+            acc[0] += sq(a);
+            acc[1] += sq(b);
+            acc[2] += sq(c);
+            acc[3] += sq(d);
+        }
+        sums.extend(acc);
+    }
+    for g in groups.remainder() {
+        sums.push(g.iter().fold(-0.0, |acc, &v| acc + sq(v)));
+    }
+    sums
+}
+
+fn average_masked(grads: &[&[f32]], delivered: Option<&[bool]>) -> Vec<f32> {
     match delivered {
         None => average(grads),
         Some(mask) => {
             assert_eq!(mask.len(), grads.len(), "one delivery flag per worker");
-            let arrived: Vec<Vec<f32>> = grads
+            let arrived: Vec<&[f32]> = grads
                 .iter()
                 .zip(mask)
                 .filter(|(_, &d)| d)
-                .map(|(g, _)| g.clone())
+                .map(|(&g, _)| g)
                 .collect();
             assert!(!arrived.is_empty(), "every push in the round was lost");
             average(&arrived)
@@ -435,11 +467,11 @@ fn average_masked(grads: &[Vec<f32>], delivered: Option<&[bool]>) -> Vec<f32> {
     }
 }
 
-fn average(grads: &[Vec<f32>]) -> Vec<f32> {
+fn average(grads: &[&[f32]]) -> Vec<f32> {
     let mut out = vec![0.0f32; grads[0].len()];
     let inv = 1.0 / grads.len() as f32;
     for g in grads {
-        for (o, &v) in out.iter_mut().zip(g) {
+        for (o, &v) in out.iter_mut().zip(*g) {
             *o += v * inv;
         }
     }
@@ -637,6 +669,40 @@ mod tests {
                 .collect::<Vec<u32>>()
         };
         assert_eq!(run(), run(), "EF split must be bit-reproducible");
+    }
+
+    #[test]
+    fn interleaved_norm_chains_match_plain_sums() {
+        // Every tensor count around the group size of four, lengths that
+        // differ between calls, an empty tensor, and values whose squares
+        // round differently depending on summation order.
+        for workers in 0..10usize {
+            for len in [0usize, 1, 7, 130] {
+                let tensors: Vec<Vec<f32>> = (0..workers)
+                    .map(|w| {
+                        (0..len)
+                            .map(|i| {
+                                let x = ((i * 31 + w * 7) as f32 * 0.618).sin();
+                                x * 10f32.powi((i % 9) as i32 - 4)
+                            })
+                            .collect()
+                    })
+                    .collect();
+                let slices: Vec<&[f32]> = tensors.iter().map(Vec::as_slice).collect();
+                let got: Vec<u64> =
+                    sum_sq_per_worker(&slices).iter().map(|s| s.to_bits()).collect();
+                let want: Vec<u64> = tensors
+                    .iter()
+                    .map(|g| {
+                        g.iter()
+                            .map(|&v| f64::from(v) * f64::from(v))
+                            .sum::<f64>()
+                            .to_bits()
+                    })
+                    .collect();
+                assert_eq!(got, want, "{workers} tensors of {len}");
+            }
+        }
     }
 
     #[test]

@@ -140,9 +140,10 @@ impl TrainFaultPlan {
                 worker: rng.random_range(0..workers),
             });
         }
-        // 0-2 slow windows.
+        // 0-2 slow windows, each starting inside the run so it is never
+        // empty.
         for _ in 0..rng.random_range(0..3usize) {
-            let from = rng.random_range(0..step_range);
+            let from = rng.random_range(0..steps.max(1));
             let len = rng.random_range(1..(steps / 4).max(2));
             plan.slowdowns.push(SlowWindow {
                 from,
@@ -206,7 +207,7 @@ impl TrainFaultPlan {
         }
         let step_range = steps.max(2);
         if rng.random::<f64>() < 0.5 {
-            let from = rng.random_range(0..step_range);
+            let from = rng.random_range(0..steps.max(1));
             let len = rng.random_range(1..(steps / 4).max(2));
             plan.slowdowns.push(SlowWindow {
                 from,
@@ -582,6 +583,25 @@ mod tests {
             saw_rejoin |= !plan.rejoins.is_empty();
         }
         assert!(saw_rejoin, "64 churn seeds produced zero re-joins");
+    }
+
+    #[test]
+    fn generated_plans_validate_for_the_shortest_runs() {
+        // A slow window drawn to start at `steps` would be the empty
+        // window `steps-steps`, which `validate` rejects; both generators
+        // must draw its start inside the run even when `steps == 1`.
+        for steps in 1..=4 {
+            for seed in 0..2000u64 {
+                for (kind, plan) in [
+                    ("from_seed", TrainFaultPlan::from_seed(seed, 4, steps)),
+                    ("churn", TrainFaultPlan::churn(seed, 4, steps)),
+                ] {
+                    plan.validate(4).unwrap_or_else(|e| {
+                        panic!("{kind} seed {seed} with {steps} steps is invalid: {e}")
+                    });
+                }
+            }
+        }
     }
 
     #[test]

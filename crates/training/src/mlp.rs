@@ -88,69 +88,128 @@ impl Mlp {
         self.params[i].len()
     }
 
-    /// Forward pass for one sample: returns (hidden activations, logits).
-    fn forward(&self, x: &[f32]) -> (Vec<f32>, Vec<f32>) {
-        let w1 = &self.params[0];
-        let b1 = &self.params[1];
-        let w2 = &self.params[2];
-        let b2 = &self.params[3];
-        let mut h = vec![0.0f32; self.hidden];
-        for (j, hj) in h.iter_mut().enumerate() {
-            let mut acc = b1[j];
-            for (d, &xd) in x.iter().enumerate() {
-                acc += w1[d * self.hidden + j] * xd;
-            }
-            *hj = acc.max(0.0); // ReLU.
+    /// Hidden activations of a batch of samples, sample-major: `hs` holds
+    /// `xs.len()` rows of `hidden` values.
+    ///
+    /// Walks `w1` row by row (one row per input feature), updating every
+    /// sample's hidden vector from that row while it is in cache, and the
+    /// inner loop is a contiguous multiply-add across the hidden units.
+    /// Each `h[j]` still starts at `b1[j]` and adds `w1[d][j] * x[d]` for
+    /// `d = 0..dims` in order — the same roundings as a per-unit dot
+    /// product.
+    fn hidden_batch(&self, xs: &[&[f32]], hs: &mut [f32]) {
+        let (w1, b1) = (&self.params[0], &self.params[1]);
+        let width = self.hidden.max(1);
+        for h in hs.chunks_exact_mut(width) {
+            h.copy_from_slice(b1);
         }
+        for (d, w_row) in w1.chunks_exact(width).enumerate() {
+            for (h, x) in hs.chunks_exact_mut(width).zip(xs) {
+                let xd = x[d];
+                for (hj, &w) in h.iter_mut().zip(w_row) {
+                    *hj += w * xd;
+                }
+            }
+        }
+        for hj in hs.iter_mut() {
+            *hj = hj.max(0.0); // ReLU.
+        }
+    }
+
+    /// Output logits of one sample from its hidden activations: `b2[k]`
+    /// plus `w2[j][k] * h[j]` for `j = 0..hidden` in order, walking `w2`
+    /// row by row.
+    fn logits_into(&self, h: &[f32], logits: &mut [f32]) {
+        let (w2, b2) = (&self.params[2], &self.params[3]);
+        logits.copy_from_slice(b2);
+        for (w_row, &hj) in w2.chunks_exact(self.classes.max(1)).zip(h) {
+            for (lk, &w) in logits.iter_mut().zip(w_row) {
+                *lk += w * hj;
+            }
+        }
+    }
+
+    /// Calls `f(i, logits)` for every sample `i` of `data`, in order,
+    /// computing the hidden layers a block of samples at a time (one
+    /// sweep over `w1` per block).
+    fn for_each_logits(&self, data: &Dataset, mut f: impl FnMut(usize, &[f32])) {
+        const BLOCK: usize = 8;
+        let mut hs = vec![0.0f32; BLOCK * self.hidden];
         let mut logits = vec![0.0f32; self.classes];
-        for (k, lk) in logits.iter_mut().enumerate() {
-            let mut acc = b2[k];
-            for (j, &hj) in h.iter().enumerate() {
-                acc += w2[j * self.classes + k] * hj;
+        for start in (0..data.len()).step_by(BLOCK) {
+            let samples = start..(start + BLOCK).min(data.len());
+            let xs: Vec<&[f32]> = samples.clone().map(|i| data.row(i)).collect();
+            let hs = &mut hs[..xs.len() * self.hidden];
+            self.hidden_batch(&xs, hs);
+            for (s, i) in samples.enumerate() {
+                self.logits_into(&hs[s * self.hidden..(s + 1) * self.hidden], &mut logits);
+                f(i, &logits);
             }
-            *lk = acc;
         }
-        (h, logits)
     }
 
     /// Mean cross-entropy loss and parameter gradients over a batch of
     /// sample indices.
+    ///
+    /// The `w1` pass is batched: the forward pass computes every sample's
+    /// hidden layer in one sweep over `w1`, and the backward pass adds
+    /// every sample's outer product `x ⊗ dh` into one `w1`-gradient row
+    /// before moving to the next. Each gradient element still receives
+    /// the samples' contributions in batch order, so the result is bit
+    /// for bit that of a per-sample loop; only the memory traffic drops.
     pub fn loss_and_grads(&self, data: &Dataset, batch: &[usize]) -> (f32, Vec<Vec<f32>>) {
         assert!(!batch.is_empty(), "empty batch");
         let mut grads: Vec<Vec<f32>> = self.params.iter().map(|p| vec![0.0; p.len()]).collect();
+        let [g_w1, g_b1, g_w2, g_b2] = &mut grads[..] else {
+            unreachable!("an MLP has four parameter tensors");
+        };
+        let (hidden, classes) = (self.hidden, self.classes);
+        let w2 = &self.params[2];
+        let xs: Vec<&[f32]> = batch.iter().map(|&i| data.row(i)).collect();
+        let mut hs = vec![0.0f32; batch.len() * hidden];
+        self.hidden_batch(&xs, &mut hs);
+        let mut dhs = vec![0.0f32; batch.len() * hidden];
+        let mut dlogits = vec![0.0f32; classes];
         let mut loss = 0.0f32;
         let inv = 1.0 / batch.len() as f32;
-        for &i in batch {
-            let x = data.row(i);
+        for (s, &i) in batch.iter().enumerate() {
+            let h = &hs[s * hidden..(s + 1) * hidden];
+            let dh = &mut dhs[s * hidden..(s + 1) * hidden];
             let y = data.labels[i];
-            let (h, logits) = self.forward(x);
-            let probs = softmax(&logits);
-            loss -= (probs[y].max(1e-12)).ln();
+            self.logits_into(h, &mut dlogits);
+            softmax_in_place(&mut dlogits);
+            loss -= (dlogits[y].max(1e-12)).ln();
             // dL/dlogits = probs - onehot(y).
-            let mut dlogits = probs;
             dlogits[y] -= 1.0;
             // w2, b2 gradients and hidden backprop.
-            let w2 = &self.params[2];
-            let mut dh = vec![0.0f32; self.hidden];
-            for (j, &hj) in h.iter().enumerate() {
-                for (k, &dk) in dlogits.iter().enumerate() {
-                    grads[2][j * self.classes + k] += hj * dk * inv;
-                    dh[j] += w2[j * self.classes + k] * dk;
+            let rows = g_w2
+                .chunks_exact_mut(classes.max(1))
+                .zip(w2.chunks_exact(classes.max(1)));
+            for ((g_row, w_row), (&hj, dhj)) in rows.zip(h.iter().zip(dh.iter_mut())) {
+                let mut acc = 0.0f32;
+                for ((g, &w), &dk) in g_row.iter_mut().zip(w_row).zip(&dlogits) {
+                    *g += hj * dk * inv;
+                    acc += w * dk;
                 }
+                *dhj = acc;
             }
-            for (k, &dk) in dlogits.iter().enumerate() {
-                grads[3][k] += dk * inv;
+            for (g, &dk) in g_b2.iter_mut().zip(&dlogits) {
+                *g += dk * inv;
             }
-            // ReLU mask then w1, b1 gradients.
-            for (j, dhj) in dh.iter_mut().enumerate() {
-                if h[j] <= 0.0 {
+            // ReLU mask, then the b1 gradient.
+            for ((dhj, &hj), g) in dh.iter_mut().zip(h).zip(g_b1.iter_mut()) {
+                if hj <= 0.0 {
                     *dhj = 0.0;
                 }
-                grads[1][j] += *dhj * inv;
+                *g += *dhj * inv;
             }
-            for (d, &xd) in x.iter().enumerate() {
-                for (j, &dhj) in dh.iter().enumerate() {
-                    grads[0][d * self.hidden + j] += xd * dhj * inv;
+        }
+        // The w1 gradient, one row (input feature) at a time.
+        for (d, g_row) in g_w1.chunks_exact_mut(hidden.max(1)).enumerate() {
+            for (x, dh) in xs.iter().zip(dhs.chunks_exact(hidden.max(1))) {
+                let xd = x[d];
+                for (g, &dhj) in g_row.iter_mut().zip(dh) {
+                    *g += xd * dhj * inv;
                 }
             }
         }
@@ -170,32 +229,37 @@ impl Mlp {
 
     /// Classification accuracy over a dataset.
     pub fn accuracy(&self, data: &Dataset) -> f64 {
-        let correct = (0..data.len())
-            .filter(|&i| {
-                let (_, logits) = self.forward(data.row(i));
-                argmax(&logits) == data.labels[i]
-            })
-            .count();
+        let mut correct = 0usize;
+        self.for_each_logits(data, |i, logits| {
+            correct += usize::from(argmax(logits) == data.labels[i]);
+        });
         correct as f64 / data.len() as f64
     }
 
     /// Mean loss over a dataset (no gradients).
     pub fn loss(&self, data: &Dataset) -> f32 {
+        let mut probs = vec![0.0f32; self.classes];
         let mut loss = 0.0;
-        for i in 0..data.len() {
-            let (_, logits) = self.forward(data.row(i));
-            let probs = softmax(&logits);
+        self.for_each_logits(data, |i, logits| {
+            probs.copy_from_slice(logits);
+            softmax_in_place(&mut probs);
             loss -= probs[data.labels[i]].max(1e-12).ln();
-        }
+        });
         loss / data.len() as f32
     }
 }
 
-fn softmax(logits: &[f32]) -> Vec<f32> {
-    let max = logits.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-    let exps: Vec<f32> = logits.iter().map(|&l| (l - max).exp()).collect();
-    let sum: f32 = exps.iter().sum();
-    exps.into_iter().map(|e| e / sum).collect()
+/// Replaces logits with their softmax probabilities: subtract the max,
+/// exponentiate, then divide by the (sequentially summed) total.
+fn softmax_in_place(v: &mut [f32]) {
+    let max = v.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+    for l in v.iter_mut() {
+        *l = (*l - max).exp();
+    }
+    let sum: f32 = v.iter().sum();
+    for e in v.iter_mut() {
+        *e /= sum;
+    }
 }
 
 fn argmax(v: &[f32]) -> usize {
@@ -209,6 +273,190 @@ fn argmax(v: &[f32]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The loops as first written — per-unit dot products over strided
+    /// `w1` columns, allocating per sample — kept as the oracle the
+    /// lane-friendly loops must match bit for bit.
+    mod naive {
+        use super::*;
+
+        pub fn forward(m: &Mlp, x: &[f32]) -> (Vec<f32>, Vec<f32>) {
+            let [w1, b1, w2, b2] = &m.params[..] else { unreachable!() };
+            let mut h = vec![0.0f32; m.hidden];
+            for (j, hj) in h.iter_mut().enumerate() {
+                let mut acc = b1[j];
+                for (d, &xd) in x.iter().enumerate() {
+                    acc += w1[d * m.hidden + j] * xd;
+                }
+                *hj = acc.max(0.0);
+            }
+            let mut logits = vec![0.0f32; m.classes];
+            for (k, lk) in logits.iter_mut().enumerate() {
+                let mut acc = b2[k];
+                for (j, &hj) in h.iter().enumerate() {
+                    acc += w2[j * m.classes + k] * hj;
+                }
+                *lk = acc;
+            }
+            (h, logits)
+        }
+
+        fn softmax(logits: &[f32]) -> Vec<f32> {
+            let max = logits.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+            let exps: Vec<f32> = logits.iter().map(|&l| (l - max).exp()).collect();
+            let sum: f32 = exps.iter().sum();
+            exps.into_iter().map(|e| e / sum).collect()
+        }
+
+        pub fn loss_and_grads(m: &Mlp, data: &Dataset, batch: &[usize]) -> (f32, Vec<Vec<f32>>) {
+            let mut grads: Vec<Vec<f32>> = m.params.iter().map(|p| vec![0.0; p.len()]).collect();
+            let mut loss = 0.0f32;
+            let inv = 1.0 / batch.len() as f32;
+            for &i in batch {
+                let x = data.row(i);
+                let y = data.labels[i];
+                let (h, logits) = forward(m, x);
+                let probs = softmax(&logits);
+                loss -= (probs[y].max(1e-12)).ln();
+                let mut dlogits = probs;
+                dlogits[y] -= 1.0;
+                let w2 = &m.params[2];
+                let mut dh = vec![0.0f32; m.hidden];
+                for (j, &hj) in h.iter().enumerate() {
+                    for (k, &dk) in dlogits.iter().enumerate() {
+                        grads[2][j * m.classes + k] += hj * dk * inv;
+                        dh[j] += w2[j * m.classes + k] * dk;
+                    }
+                }
+                for (k, &dk) in dlogits.iter().enumerate() {
+                    grads[3][k] += dk * inv;
+                }
+                for (j, dhj) in dh.iter_mut().enumerate() {
+                    if h[j] <= 0.0 {
+                        *dhj = 0.0;
+                    }
+                    grads[1][j] += *dhj * inv;
+                }
+                for (d, &xd) in x.iter().enumerate() {
+                    for (j, &dhj) in dh.iter().enumerate() {
+                        grads[0][d * m.hidden + j] += xd * dhj * inv;
+                    }
+                }
+            }
+            (loss * inv, grads)
+        }
+
+        pub fn accuracy(m: &Mlp, data: &Dataset) -> f64 {
+            let correct = (0..data.len())
+                .filter(|&i| argmax(&forward(m, data.row(i)).1) == data.labels[i])
+                .count();
+            correct as f64 / data.len() as f64
+        }
+
+        pub fn loss(m: &Mlp, data: &Dataset) -> f32 {
+            let mut loss = 0.0;
+            for i in 0..data.len() {
+                let probs = softmax(&forward(m, data.row(i)).1);
+                loss -= probs[data.labels[i]].max(1e-12).ln();
+            }
+            loss / data.len() as f32
+        }
+    }
+
+    /// A value for a weight or feature: mostly ordinary, sometimes an
+    /// edge value (±0, subnormal, ±inf, NaN, binary16 boundaries).
+    fn value(kind: u32, pick: u32, x: f32) -> f32 {
+        const EDGES: [f32; 12] = [
+            0.0,
+            -0.0,
+            1e-45,
+            -1.1754942e-38,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            65504.0,
+            65520.0,
+            5.9604645e-8,
+            4.4703484e-8,
+            -6.1035156e-5,
+        ];
+        match kind {
+            0 => EDGES[pick as usize % EDGES.len()],
+            _ => x,
+        }
+    }
+
+    /// A random model and dataset of the given shape; `edgy` lets edge
+    /// values into the weights and features.
+    fn random_case(shape: (usize, usize, usize), seed: u64, edgy: bool) -> (Mlp, Dataset) {
+        let (dims, hidden, classes) = shape;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut draw = |n: usize| -> Vec<f32> {
+            (0..n)
+                .map(|_| {
+                    let kind = if edgy { rng.random_range(0..16u32) } else { 1 };
+                    value(kind, rng.random_range(0..u32::MAX), rng.random_range(-2.0f32..2.0))
+                })
+                .collect()
+        };
+        let params = vec![
+            draw(dims * hidden),
+            draw(hidden),
+            draw(hidden * classes),
+            draw(classes),
+        ];
+        let samples = 9;
+        let features = draw(samples * dims);
+        let labels = (0..samples).map(|i| (i * 7 + seed as usize) % classes).collect();
+        let data = Dataset {
+            dims,
+            classes,
+            features,
+            labels,
+        };
+        (Mlp::from_params(dims, hidden, classes, params), data)
+    }
+
+    /// Bit patterns, with every NaN mapped to one pattern (Rust leaves
+    /// arithmetic NaN payloads unspecified).
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter()
+            .map(|x| if x.is_nan() { f32::NAN.to_bits() } else { x.to_bits() })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn loops_match_the_naive_reference_bit_for_bit(
+            shape in (1usize..20, 1usize..40, 1usize..6),
+            seed in 0u64..1_000_000,
+            edgy in prop::bool::ANY,
+            batch in prop::collection::vec(0usize..9, 1..6),
+        ) {
+            let (mlp, data) = random_case(shape, seed, edgy);
+            let (loss, grads) = mlp.loss_and_grads(&data, &batch);
+            let (want_loss, want_grads) = naive::loss_and_grads(&mlp, &data, &batch);
+            prop_assert_eq!(bits(&[loss]), bits(&[want_loss]));
+            for (t, (g, w)) in grads.iter().zip(&want_grads).enumerate() {
+                prop_assert_eq!(bits(g), bits(w), "gradient tensor {}", t);
+            }
+            // `argmax` orders a NaN logit by its sign bit, which Rust
+            // leaves unspecified, so accuracy is compared only where every
+            // logit is a number.
+            let nan_logit = (0..data.len())
+                .any(|i| naive::forward(&mlp, data.row(i)).1.iter().any(|l| l.is_nan()));
+            if !nan_logit {
+                prop_assert_eq!(
+                    mlp.accuracy(&data).to_bits(),
+                    naive::accuracy(&mlp, &data).to_bits()
+                );
+            }
+            prop_assert_eq!(bits(&[mlp.loss(&data)]), bits(&[naive::loss(&mlp, &data)]));
+        }
+    }
 
     #[test]
     fn gradients_match_finite_differences() {

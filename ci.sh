@@ -150,4 +150,36 @@ churn() {
 }
 step "churn" churn
 
+# Thread-count invariance of training, end to end through the CLI: the
+# seeded churn run must print the same weight/state fingerprints at one
+# thread and at three (an uneven split of the four workers), and a run
+# halted at 70 under one thread and resumed under three must match the
+# uninterrupted run — the parallel step and the fanned-out robust re-plans
+# are bit-identical for any thread count.
+train_threads() {
+    ckpt_dir=$(mktemp -d)
+    args="--steps 120 --churn-faults 7"
+    fp() { grep -E "^(weights|state) fingerprint:"; }
+    # shellcheck disable=SC2086
+    one=$(./target/release/espresso-cli train $args --threads 1 | fp)
+    # shellcheck disable=SC2086
+    three=$(./target/release/espresso-cli train $args --threads 3 | fp)
+    # shellcheck disable=SC2086
+    ./target/release/espresso-cli train $args --threads 1 --checkpoint-every 40 \
+        --halt-at 70 --checkpoint-dir "$ckpt_dir" > /dev/null
+    # shellcheck disable=SC2086
+    resumed=$(./target/release/espresso-cli train $args --threads 3 \
+        --checkpoint-dir "$ckpt_dir" --resume | fp)
+    rm -rf "$ckpt_dir"
+    if [ "$one" != "$three" ] || [ "$resumed" != "$one" ]; then
+        echo "train threads: fingerprints depend on the thread count" >&2
+        echo "1 thread:" >&2; echo "$one" >&2
+        echo "3 threads:" >&2; echo "$three" >&2
+        echo "halted at 1, resumed at 3:" >&2; echo "$resumed" >&2
+        exit 1
+    fi
+    echo "train threads: fingerprints equal at 1 and 3 threads, and across a 1 -> 3 resume"
+}
+step "train threads" train_threads
+
 echo "CI OK"

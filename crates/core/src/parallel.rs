@@ -5,7 +5,8 @@
 //!
 //! [`EvalPool::run`] fans a batch of [`PreparedEval`] units out across a
 //! fixed set of worker threads and returns the results **merged by unit
-//! index**. Each unit is a self-contained plan (plus optional resume
+//! index**; [`EvalPool::map`] does the same for coarse tasks, such as
+//! whole selections. Each unit is a self-contained plan (plus optional resume
 //! checkpoint / fault plan) whose evaluation touches only a per-worker
 //! scratch, so the value computed for unit `i` is bitwise-identical no
 //! matter which worker ran it or in what order — scheduling affects
@@ -134,9 +135,15 @@ impl EvalPool {
         }
     }
 
-    /// Worker count from `ESPRESSO_PLANNER_THREADS` (default 1 — the
-    /// fast-path engine is quick enough that extra threads only pay off
-    /// on wide candidate batches).
+    /// Worker count from `ESPRESSO_PLANNER_THREADS` (default 1). The
+    /// serve and fleet paths plan with this pool. Set wider, it prices
+    /// candidates in parallel and fans the robust ensemble's independent
+    /// selections out across its threads (see
+    /// [`crate::robust::RobustSelector::select_with`]). That halves a
+    /// cold robust re-plan on two cores, but on a server the extra planner
+    /// threads compete with the request threads: in `decide-mix` they
+    /// raised the tail of repeated (cached) `/decide` requests several
+    /// times over, so the default stays 1.
     pub fn from_env() -> Self {
         let workers = std::env::var("ESPRESSO_PLANNER_THREADS")
             .ok()
@@ -154,29 +161,55 @@ impl EvalPool {
     /// Evaluates every unit and returns the iteration times in unit
     /// order.
     pub fn run(&self, units: Vec<PreparedEval>) -> Vec<f64> {
-        if self.workers <= 1 || units.len() <= 1 {
-            let mut scratch = EvalScratch::default();
-            return units.iter().map(|u| u.run(&mut scratch)).collect();
+        self.fan_out(units, EvalScratch::default, |scratch, unit| unit.run(scratch))
+    }
+
+    /// Applies `f` to every item, each a task of its own, and returns the
+    /// results in item order — whichever thread ran which item.
+    pub fn map<T: Send, R: Send>(&self, items: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R> {
+        self.fan_out(items, || (), |(), item| f(item))
+    }
+
+    /// The one fan-out: items are pulled off a shared queue by the
+    /// calling thread and up to `workers - 1` scoped threads, each with
+    /// its own `init()` state, and written back by index. One worker (or
+    /// one item) runs inline.
+    fn fan_out<T: Send, R: Send, S>(
+        &self,
+        items: Vec<T>,
+        init: impl Fn() -> S + Sync,
+        f: impl Fn(&mut S, T) -> R + Sync,
+    ) -> Vec<R> {
+        if self.workers <= 1 || items.len() <= 1 {
+            let mut state = init();
+            return items.into_iter().map(|item| f(&mut state, item)).collect();
         }
-        let n = units.len();
+        let n = items.len();
         let queue = BoundedQueue::new(n);
-        for item in units.into_iter().enumerate() {
+        for item in items.into_iter().enumerate() {
             let _ = queue.try_push(item);
         }
         queue.close();
-        let results = Mutex::new(vec![0.0f64; n]);
-        std::thread::scope(|s| {
-            for _ in 0..self.workers.min(n) {
-                s.spawn(|| {
-                    let mut scratch = EvalScratch::default();
-                    while let Some((i, unit)) = queue.pop() {
-                        let t = unit.run(&mut scratch);
-                        results.lock().unwrap_or_else(|e| e.into_inner())[i] = t;
-                    }
-                });
+        let results: Mutex<Vec<Option<R>>> = Mutex::new((0..n).map(|_| None).collect());
+        let drain = || {
+            let mut state = init();
+            while let Some((i, item)) = queue.pop() {
+                let r = f(&mut state, item);
+                results.lock().unwrap_or_else(|e| e.into_inner())[i] = Some(r);
             }
+        };
+        std::thread::scope(|s| {
+            for _ in 1..self.workers.min(n) {
+                s.spawn(drain);
+            }
+            drain();
         });
-        results.into_inner().unwrap_or_else(|e| e.into_inner())
+        results
+            .into_inner()
+            .unwrap_or_else(|e| e.into_inner())
+            .into_iter()
+            .map(|r| r.expect("every queued item ran"))
+            .collect()
     }
 }
 

@@ -225,11 +225,15 @@ impl RobustSelector {
     }
 
     /// As [`RobustSelector::select`] with an explicit planner mode and
-    /// evaluation pool. The candidate-generation selects run on the
-    /// chosen planner path, and the candidate-times-ensemble pricing
-    /// matrix fans out across the pool as self-contained evaluation
-    /// units merged back in canonical (candidate-major) order — the
-    /// selection is bit-identical for any worker count.
+    /// evaluation pool. The candidate-generation selections (nominal,
+    /// degraded and one per scenario) are independent tasks fanned out
+    /// across the pool's threads, each run serially on the chosen planner
+    /// path and merged back by index; the candidate-times-ensemble pricing
+    /// matrix then fans out across the pool as self-contained evaluation
+    /// units merged back in canonical (candidate-major) order. Both
+    /// merges are by index and a selection's result does not depend on
+    /// its pool width, so the selection is bit-identical for any worker
+    /// count.
     pub fn select_with(
         &self,
         mode: PlannerMode,
@@ -253,21 +257,20 @@ impl RobustSelector {
             .map(|profile| Job::new(profile, degraded_cluster, self.job.algo))
             .collect();
 
-        let mut candidates: Vec<(String, Strategy)> = Vec::new();
-        let (stale, _) = Espresso::new(self.job.clone())
-            .with_config(self.config)
-            .select_strategy_with(mode, pool);
-        candidates.push(("nominal-espresso".into(), stale));
-        let (mean_degraded, _) = Espresso::new(degraded_job)
-            .with_config(self.config)
-            .select_strategy_with(mode, pool);
-        candidates.push(("degraded-espresso".into(), mean_degraded));
-        for (s, job) in ensemble.iter().enumerate() {
-            let (strategy, _) = Espresso::new(job.clone())
+        let names = ["nominal-espresso".to_string(), "degraded-espresso".to_string()]
+            .into_iter()
+            .chain((0..ensemble.len()).map(|s| format!("scenario-{s}-espresso")));
+        let jobs: Vec<Job> = [self.job.clone(), degraded_job]
+            .into_iter()
+            .chain(ensemble.iter().cloned())
+            .collect();
+        let selections = pool.map(jobs, |job| {
+            Espresso::new(job)
                 .with_config(self.config)
-                .select_strategy_with(mode, pool);
-            candidates.push((format!("scenario-{s}-espresso"), strategy));
-        }
+                .select_strategy_with(mode, &EvalPool::new(1))
+                .0
+        });
+        let mut candidates: Vec<(String, Strategy)> = names.zip(selections).collect();
         for b in Baseline::ALL {
             candidates.push((b.name().to_string(), b.strategy(&self.job)));
         }
@@ -555,9 +558,13 @@ pub fn replan(
 ///
 /// Only the selection is replayed; `changed` is recomputed against the
 /// *current* strategy of the caller, which moves between re-plans.
+///
+/// The context also carries the pool its cold robust re-plans run on
+/// (see [`ReplanContext::with_pool`]).
 #[derive(Debug)]
 pub struct ReplanContext {
     warm: WarmStartCache,
+    pool: EvalPool,
 }
 
 impl Default for ReplanContext {
@@ -570,10 +577,20 @@ impl ReplanContext {
     /// Most distinct selections retained.
     const CAPACITY: usize = 32;
 
-    /// An empty context (first plan will be cold).
+    /// An empty context (first plan will be cold) planning on
+    /// [`EvalPool::from_env`], width 1 unless `ESPRESSO_PLANNER_THREADS`
+    /// says otherwise.
     pub fn new() -> Self {
+        Self::with_pool(EvalPool::from_env())
+    }
+
+    /// An empty context whose cold robust re-plans run on `pool`: the
+    /// ensemble's selections fan out across its threads, and so does the
+    /// pricing. The re-plans are bit-identical for any width.
+    pub fn with_pool(pool: EvalPool) -> Self {
         Self {
             warm: WarmStartCache::new(Self::CAPACITY, 1),
+            pool,
         }
     }
 }
@@ -592,7 +609,7 @@ pub fn replan_with_context(
     health: &ClusterHealth,
     current: &Strategy,
 ) -> Result<Replan, EspressoError> {
-    replan_with_warm(&ctx.warm, job, health, current)
+    replan_warm(&ctx.warm, &ctx.pool, job, health, current)
 }
 
 /// As [`replan`], seeded by a shared [`WarmStartCache`]: the nominal or
@@ -608,6 +625,17 @@ pub fn replan_with_context(
 /// As [`RobustSelector::select`].
 pub fn replan_with_warm(
     warm: &WarmStartCache,
+    job: &Job,
+    health: &ClusterHealth,
+    current: &Strategy,
+) -> Result<Replan, EspressoError> {
+    replan_warm(warm, &EvalPool::from_env(), job, health, current)
+}
+
+/// [`replan_with_warm`] with a cold robust selection on `pool`.
+fn replan_warm(
+    warm: &WarmStartCache,
+    pool: &EvalPool,
     job: &Job,
     health: &ClusterHealth,
     current: &Strategy,
@@ -628,7 +656,8 @@ pub fn replan_with_warm(
         match warm.get_robust(&key) {
             Some(sel) => (sel.strategy.clone(), sel.mean_time, sel.chosen.clone()),
             None => {
-                let sel = RobustSelector::new(job.clone(), *health).select()?;
+                let sel = RobustSelector::new(job.clone(), *health)
+                    .select_with(PlannerMode::from_env(), pool)?;
                 let out = (sel.strategy.clone(), sel.mean_time, sel.chosen.clone());
                 warm.insert_robust(key, sel);
                 out

@@ -6,12 +6,12 @@
 //! accept decision — these tests hold that claim against real
 //! selections.
 
-use espresso::robust::RobustSelector;
+use espresso::robust::{RobustSelection, RobustSelector};
 use espresso::{Espresso, EvalPool, PlannerMode, Report, Strategy};
 use espresso_cluster::{Cluster, ClusterHealth};
 use espresso_gc::GcAlgorithm;
 use espresso_models::{Model, ModelKind, ModelProfile, TensorProfile};
-use espresso_sim::Job;
+use espresso_sim::{FaultPlan, Job};
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -78,6 +78,29 @@ fn paper_models_select_identically_across_worker_counts() {
     }
 }
 
+/// Everything a robust selection returns, bit-encoded so plain equality
+/// is bit equality.
+#[allow(clippy::type_complexity)]
+fn robust_key(
+    sel: &RobustSelection,
+) -> (Strategy, String, u64, u64, usize, Vec<(String, u64, u64, bool)>) {
+    (
+        sel.strategy.clone(),
+        sel.chosen.clone(),
+        sel.mean_time.to_bits(),
+        sel.worst_time.to_bits(),
+        sel.scenarios,
+        sel.candidates
+            .iter()
+            .map(|c| (c.name.clone(), c.mean.to_bits(), c.worst.to_bits(), c.admitted))
+            .collect(),
+    )
+}
+
+/// The ensemble's selections fan out across the pool and the pricing
+/// matrix spreads over it: the whole selection must come back identical
+/// at every width, including an uneven split (3) and more threads than
+/// cores (8), with and without an injected fault plan.
 #[test]
 fn robust_selection_is_identical_across_worker_counts() {
     let job = Job::new(
@@ -85,39 +108,27 @@ fn robust_selection_is_identical_across_worker_counts() {
         Cluster::pcie_25g(2, 4),
         GcAlgorithm::EfSignSgd,
     );
-    let selector = RobustSelector::new(job, ClusterHealth::inter_degraded(2.0));
-    let first = selector
-        .select_with(PlannerMode::Fast, &EvalPool::new(1))
-        .expect("selection succeeds");
-    for workers in WORKER_COUNTS {
-        let pool = EvalPool::new(workers);
-        for rep in 0..2 {
-            let sel = selector
-                .select_with(PlannerMode::Fast, &pool)
-                .expect("selection succeeds");
-            assert_eq!(sel.strategy, first.strategy, "{workers} workers, rep {rep}");
-            assert_eq!(sel.chosen, first.chosen, "{workers} workers, rep {rep}");
-            assert_eq!(
-                sel.mean_time.to_bits(),
-                first.mean_time.to_bits(),
-                "{workers} workers, rep {rep}"
-            );
-            assert_eq!(
-                sel.worst_time.to_bits(),
-                first.worst_time.to_bits(),
-                "{workers} workers, rep {rep}"
-            );
-            let scores: Vec<_> = sel
-                .candidates
-                .iter()
-                .map(|c| (c.name.clone(), c.mean.to_bits(), c.worst.to_bits(), c.admitted))
-                .collect();
-            let expected: Vec<_> = first
-                .candidates
-                .iter()
-                .map(|c| (c.name.clone(), c.mean.to_bits(), c.worst.to_bits(), c.admitted))
-                .collect();
-            assert_eq!(scores, expected, "{workers} workers, rep {rep}");
+    let plain = RobustSelector::new(job.clone(), ClusterHealth::inter_degraded(2.0));
+    let faulted = plain
+        .clone()
+        .with_faults(FaultPlan::from_seed(11, job.cluster.total_gpus()));
+    for (label, selector) in [("no faults", plain), ("fault plan", faulted)] {
+        let first = robust_key(
+            &selector
+                .select_with(PlannerMode::Fast, &EvalPool::new(1))
+                .expect("selection succeeds"),
+        );
+        for workers in [1, 2, 3, 8] {
+            let pool = EvalPool::new(workers);
+            for rep in 0..2 {
+                let sel = selector
+                    .select_with(PlannerMode::Fast, &pool)
+                    .expect("selection succeeds");
+                assert!(
+                    robust_key(&sel) == first,
+                    "{label}: selection changed at {workers} workers (rep {rep})"
+                );
+            }
         }
     }
 }

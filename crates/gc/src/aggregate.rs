@@ -12,24 +12,6 @@ use crate::{
     tensor::CompressedTensor,
 };
 
-/// Decompresses and sums `parts` into a dense gradient of length `len`.
-///
-/// # Panics
-///
-/// Panics if any part's length differs from `len`.
-pub fn aggregate_dense(
-    compressor: &dyn Compressor,
-    parts: &[CompressedTensor],
-    len: usize,
-) -> Vec<f32> {
-    let mut acc = vec![0.0f32; len];
-    for part in parts {
-        assert_eq!(part.len(), len, "aggregating mismatched tensor lengths");
-        compressor.accumulate_into(part, &mut acc, Accumulate::Add);
-    }
-    acc
-}
-
 /// Simulates one full synchronization round for `world` workers: each
 /// worker compresses its gradient (with its own error-feedback state),
 /// the compressed tensors are exchanged, and every worker ends with the
@@ -85,7 +67,7 @@ pub fn synchronize_masked<G: AsRef<[f32]>>(
         assert_eq!(mask.len(), grads.len(), "one delivery flag per worker");
         assert!(mask.iter().any(|&d| d), "every push in the round was lost");
     }
-    let len = grads[0].as_ref().len();
+    let mut out = vec![0.0f32; grads[0].as_ref().len()];
     let compressed: Vec<CompressedTensor> = grads
         .iter()
         .zip(ef_states.iter_mut())
@@ -99,19 +81,56 @@ pub fn synchronize_masked<G: AsRef<[f32]>>(
             ef.compress_with_feedback(compressor, grad.as_ref(), ctx)
         })
         .collect();
-    let arrived: Vec<CompressedTensor> = match delivered {
-        None => compressed,
-        Some(mask) => compressed
-            .into_iter()
-            .zip(mask)
-            .filter(|(_, &d)| d)
-            .map(|(c, _)| c)
-            .collect(),
-    };
-    let mut sum = aggregate_dense(compressor, &arrived, len);
-    let scale = 1.0 / arrived.len() as f32;
-    sum.iter_mut().for_each(|v| *v *= scale);
-    sum
+    let mut average = Average::new(&mut out);
+    for (w, part) in compressed.iter().enumerate() {
+        if delivered.is_none_or(|mask| mask[w]) {
+            average.add(compressor, part);
+        }
+    }
+    average.finish();
+    out
+}
+
+/// A running average of compressed parts in a dense buffer: zeroed on
+/// creation, each part's decompressed values added in the order the parts
+/// arrive, then scaled by `1 / parts` on [`Average::finish`]. The one
+/// aggregation path: [`synchronize_masked`] and the data-parallel trainer
+/// both average through it, so a round averages bit for bit alike
+/// whichever of them ran it, as long as the parts come in the same
+/// (worker) order — even when different threads add them.
+pub struct Average<'a> {
+    out: &'a mut [f32],
+    parts: usize,
+}
+
+impl<'a> Average<'a> {
+    /// Starts an average in `out`, zeroing it.
+    pub fn new(out: &'a mut [f32]) -> Self {
+        out.fill(0.0);
+        Self { out, parts: 0 }
+    }
+
+    /// Adds one part.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the part's length differs from the buffer's.
+    pub fn add(&mut self, compressor: &dyn Compressor, part: &CompressedTensor) {
+        assert_eq!(part.len(), self.out.len(), "aggregating mismatched tensor lengths");
+        compressor.accumulate_into(part, self.out, Accumulate::Add);
+        self.parts += 1;
+    }
+
+    /// Scales the sum by `1 / parts`, leaving the average in the buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no part was added.
+    pub fn finish(self) {
+        assert!(self.parts > 0, "need at least one part to average");
+        let scale = 1.0 / self.parts as f32;
+        self.out.iter_mut().for_each(|v| *v *= scale);
+    }
 }
 
 #[cfg(test)]
@@ -120,12 +139,16 @@ mod tests {
     use crate::algorithms::{Dgc, EfSignSgd, Fp16, RandomK};
 
     #[test]
-    fn aggregate_dense_sums_contributions() {
+    fn average_sums_contributions_then_scales() {
         let comp = Fp16::new();
         let a = comp.compress(&[1.0, 2.0], CompressCtx::default());
         let b = comp.compress(&[3.0, -1.0], CompressCtx::default());
-        let sum = aggregate_dense(&comp, &[a, b], 2);
-        assert_eq!(sum, vec![4.0, 1.0]);
+        let mut out = vec![7.0; 2];
+        let mut average = Average::new(&mut out);
+        average.add(&comp, &a);
+        average.add(&comp, &b);
+        average.finish();
+        assert_eq!(out, vec![2.0, 0.5]);
     }
 
     #[test]
@@ -170,8 +193,14 @@ mod tests {
                 )
             })
             .collect();
-        let a = aggregate_dense(&comp, &compressed, 4);
-        let b = aggregate_dense(&comp, &compressed, 4);
+        let average = |out: &mut Vec<f32>| {
+            let mut average = Average::new(out);
+            compressed.iter().for_each(|part| average.add(&comp, part));
+            average.finish();
+        };
+        let (mut a, mut b) = (vec![0.0; 4], vec![1.0; 4]);
+        average(&mut a);
+        average(&mut b);
         assert_eq!(a, b);
     }
 
@@ -244,6 +273,16 @@ mod tests {
         let comp = Fp16::new();
         let a = comp.compress(&[1.0, 2.0], CompressCtx::default());
         let b = comp.compress(&[3.0], CompressCtx::default());
-        let _ = aggregate_dense(&comp, &[a, b], 2);
+        let mut out = vec![0.0; 2];
+        let mut average = Average::new(&mut out);
+        average.add(&comp, &a);
+        average.add(&comp, &b);
+    }
+
+    #[test]
+    #[should_panic(expected = "need at least one part to average")]
+    fn empty_average_panics() {
+        let mut out = vec![0.0; 2];
+        Average::new(&mut out).finish();
     }
 }

@@ -147,6 +147,17 @@ impl ErrorFeedback {
             *r -= scale * o;
         }
     }
+
+    /// Subtracts `scale * residual` from the residual in place: the same
+    /// bits as [`ErrorFeedback::split_scaled`] against a copy of this
+    /// state, without making the copy. Each element computes
+    /// `r - scale * r` from its own pre-split value, exactly as the split
+    /// does from the copy's element.
+    pub fn split_own(&mut self, scale: f32) {
+        for r in &mut self.residual {
+            *r -= scale * *r;
+        }
+    }
 }
 
 impl espresso_json::ToJson for ErrorFeedback {

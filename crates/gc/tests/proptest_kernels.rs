@@ -10,7 +10,8 @@
 //! 1. one fused error-feedback round versus compensate → compress →
 //!    decompress → subtract, over several rounds, for all seven
 //!    compressors;
-//! 2. `aggregate_dense` (and `synchronize_masked`) versus decompress-and-add;
+//! 2. `aggregate::Average` (and `synchronize_masked`) versus
+//!    decompress-and-add;
 //! 3. `accumulate_into` overrides versus the provided default, on every
 //!    accumulator the trait contract admits;
 //! 4. EFSignSGD's word-at-a-time packing and decoding versus the
@@ -20,7 +21,7 @@
 //! bit patterns and values on the binary16 boundaries.
 
 use espresso_gc::{
-    aggregate::{aggregate_dense, synchronize_masked},
+    aggregate::{synchronize_masked, Average},
     algorithms::{Dgc, EfSignSgd, Fp16, Natural, Qsgd, RandomK, TernGrad},
     Accumulate, CompressCtx, CompressedTensor, Compressor, ErrorFeedback,
 };
@@ -234,11 +235,18 @@ proptest! {
                 .enumerate()
                 .map(|(w, g)| c.compress(g, CompressCtx { round, worker: w as u64, tensor: 0 }))
                 .collect();
-            prop_assert_eq!(
-                bits(&aggregate_dense(c.as_ref(), &parts, len)),
-                bits(&reference_sum(c.as_ref(), &parts, len)),
-                "{} aggregate_dense", c.name()
-            );
+            // One part averages to itself (scale 1, so the sum is compared
+            // exactly); all parts to the reference sum, scaled alike.
+            for parts in [&parts[..1], &parts[..]] {
+                let mut got = vec![f32::NAN; len];
+                let mut average = Average::new(&mut got);
+                parts.iter().for_each(|part| average.add(c.as_ref(), part));
+                average.finish();
+                let mut want = reference_sum(c.as_ref(), parts, len);
+                let scale = 1.0 / parts.len() as f32;
+                want.iter_mut().for_each(|v| *v *= scale);
+                prop_assert_eq!(bits(&got), bits(&want), "{} Average of {}", c.name(), parts.len());
+            }
 
             // A full masked round against the same steps spelled out.
             let mut efs = vec![ErrorFeedback::new(len); grads.len()];

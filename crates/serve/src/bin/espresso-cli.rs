@@ -88,12 +88,14 @@ fn usage() -> ! {
          or:    espresso-cli train [--machines N] [--gpus K] [--steps N] \
          [--batch N] [--algo NAME] [--density F] [--eval-every N] \
          [--checkpoint-every N] [--checkpoint-dir DIR] [--resume] \
-         [--halt-at N] [--faults SPEC] [--churn-faults SEED] [--adapt]  \
+         [--halt-at N] [--faults SPEC] [--churn-faults SEED] [--adapt] \
+         [--threads N]  \
          (SPEC: seed, or crash=STEP:WORKER,rejoin=STEP:WORKER,\
 drop=STEP:WORKER,slow=FROM-UNTIL:F,degrade=STEP:F; \
          --churn-faults generates an interleaved preemption/re-join plan \
          from SEED; --adapt walks per-tensor ratios online from residual \
-         errors)"
+         errors; --threads caps the threads a step and a re-plan use, \
+         default: the available cores, same bits at any value)"
     );
     std::process::exit(2)
 }
@@ -357,6 +359,7 @@ fn run_train(args: &[String]) -> Result<(), EspressoError> {
     let mut faults: Option<String> = None;
     let mut churn_seed: Option<u64> = None;
     let mut adapt = false;
+    let mut threads: Option<usize> = None;
     let mut it = args.iter();
     while let Some(flag) = it.next() {
         let mut value = || it.next().cloned().unwrap_or_else(|| usage());
@@ -394,6 +397,7 @@ fn run_train(args: &[String]) -> Result<(), EspressoError> {
                 )
             }
             "--adapt" => adapt = true,
+            "--threads" => threads = Some(parse_num("--threads", value())?),
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("unknown flag {other}");
@@ -422,6 +426,9 @@ fn run_train(args: &[String]) -> Result<(), EspressoError> {
     config.checkpoint_every = checkpoint_every;
     config.halt_at = halt_at;
     config.resume = resume;
+    if let Some(threads) = threads {
+        config.threads = threads;
+    }
     if adapt {
         config.adapt = Some(espresso_adapt::ControllerConfig::default());
     }

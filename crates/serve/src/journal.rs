@@ -242,10 +242,16 @@ impl From<std::io::Error> for SnapshotError {
     }
 }
 
+/// The header line (without its newline) for a payload of `len` bytes
+/// hashing to `hash`.
+fn snapshot_header(len: usize, hash: u64) -> String {
+    format!("{MAGIC} len={len} fnv1a64={hash:016x}")
+}
+
 /// Wraps `payload` in the checksummed snapshot file format.
 pub fn encode_snapshot(payload: &[u8]) -> Vec<u8> {
-    let header = format!("{MAGIC} len={} fnv1a64={:016x}\n", payload.len(), fnv1a64(payload));
-    let mut bytes = header.into_bytes();
+    let mut bytes = snapshot_header(payload.len(), fnv1a64(payload)).into_bytes();
+    bytes.push(b'\n');
     bytes.extend_from_slice(payload);
     bytes
 }
@@ -256,10 +262,14 @@ pub fn encode_snapshot(payload: &[u8]) -> Vec<u8> {
 ///
 /// [`SnapshotError::Corrupt`] naming the first integrity violation: bad
 /// magic, malformed or missing header fields, payload length mismatch, or
-/// checksum mismatch. Every single-byte substitution anywhere in the file
-/// trips one of these (the same argument as the checkpoint format: FNV-1a
-/// rounds are bijections, so equal-length payload substitutions always
-/// change the hash, and header damage fails the parse).
+/// checksum mismatch, or a header that is not byte for byte the one
+/// [`encode_snapshot`] writes for the values it parsed to (a tab, an
+/// upper-case hex digit, a `+` sign, a leading zero or reordered fields
+/// all parse to the same values but are damage). Every single-byte
+/// substitution anywhere in the file trips one of these (the same
+/// argument as the checkpoint format: FNV-1a rounds are bijections, so
+/// equal-length payload substitutions always change the hash, and header
+/// damage fails the parse or the re-render).
 pub fn decode_snapshot(bytes: &[u8]) -> Result<Vec<u8>, SnapshotError> {
     let corrupt = |message: String| SnapshotError::Corrupt { message };
     let newline = bytes
@@ -287,6 +297,9 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<Vec<u8>, SnapshotError> {
     }
     let len = len.ok_or_else(|| corrupt("header missing len field".into()))?;
     let hash = hash.ok_or_else(|| corrupt("header missing fnv1a64 field".into()))?;
+    if header != snapshot_header(len, hash) {
+        return Err(corrupt(format!("header `{header}` is not in canonical form")));
+    }
     let payload = &bytes[newline + 1..];
     if payload.len() != len {
         return Err(corrupt(format!(
@@ -515,16 +528,12 @@ mod tests {
             for mask in [0x01u8, 0x20, 0x80] {
                 let mut flipped = bytes.clone();
                 flipped[pos] ^= mask;
-                // Every substitution is either rejected or semantically
-                // null (e.g. a hex-case flip in the checksum field still
-                // parses to the same value): a *wrong* payload can never
-                // come back.
+                // Even a substitution that parses to the same values
+                // (a hex-case flip in the checksum field) fails the
+                // canonical re-render.
                 match decode_snapshot(&flipped) {
                     Err(SnapshotError::Corrupt { .. }) => {}
-                    Ok(decoded) => assert_eq!(
-                        decoded, payload,
-                        "substitution at byte {pos} (mask {mask:#x}) changed the payload undetected"
-                    ),
+                    Ok(_) => panic!("substitution at byte {pos} (mask {mask:#x}) went undetected"),
                     Err(e) => panic!("unexpected error at byte {pos}: {e}"),
                 }
             }
@@ -535,6 +544,64 @@ mod tests {
                 Err(SnapshotError::Corrupt { .. })
             ));
         }
+    }
+
+    /// `bytes` with its header line replaced by `edit(header)`.
+    fn with_header(bytes: &[u8], edit: impl Fn(&str) -> String) -> Vec<u8> {
+        let newline = bytes.iter().position(|&b| b == b'\n').unwrap();
+        let header = std::str::from_utf8(&bytes[..newline]).unwrap();
+        let edited = edit(header);
+        assert_ne!(edited, header, "the edit must change the header");
+        let mut out = edited.into_bytes();
+        out.extend_from_slice(&bytes[newline..]);
+        out
+    }
+
+    /// A header that parses to the same values as the canonical one but
+    /// is not byte for byte what the encoder writes.
+    fn assert_non_canonical_rejected(edit: impl Fn(&str) -> String) {
+        // The payload is chosen so its checksum has a hex letter to
+        // upper-case.
+        let bytes = encode_snapshot(b"{\"version\":1,\"seq\":3,\"jobs\":[]}");
+        let damaged = with_header(&bytes, edit);
+        assert!(
+            matches!(decode_snapshot(&damaged), Err(SnapshotError::Corrupt { .. })),
+            "header `{}` was accepted",
+            String::from_utf8_lossy(&damaged[..damaged.iter().position(|&b| b == b'\n').unwrap()])
+        );
+    }
+
+    #[test]
+    fn snapshot_header_with_a_tab_is_corrupt() {
+        assert_non_canonical_rejected(|h| h.replacen(" len=", "\tlen=", 1));
+    }
+
+    #[test]
+    fn snapshot_header_with_upper_case_hex_is_corrupt() {
+        assert_non_canonical_rejected(|h| {
+            let (head, hex) = h.rsplit_once('=').unwrap();
+            format!("{head}={}", hex.to_uppercase())
+        });
+    }
+
+    #[test]
+    fn snapshot_header_with_a_plus_sign_is_corrupt() {
+        assert_non_canonical_rejected(|h| h.replacen("len=", "len=+", 1));
+    }
+
+    #[test]
+    fn snapshot_header_with_leading_zeros_is_corrupt() {
+        assert_non_canonical_rejected(|h| h.replacen("len=", "len=00", 1));
+    }
+
+    #[test]
+    fn snapshot_header_with_reordered_fields_is_corrupt() {
+        assert_non_canonical_rejected(|h| {
+            let mut fields: Vec<&str> = h.split(' ').collect();
+            let n = fields.len();
+            fields.swap(n - 2, n - 1);
+            fields.join(" ")
+        });
     }
 
     #[test]

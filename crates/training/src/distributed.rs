@@ -6,8 +6,15 @@
 //! (with its own per-tensor error-feedback state), and all workers apply
 //! the identical averaged result — synchronous data-parallel DDL's
 //! invariant, executed for real.
+//!
+//! The per-worker half of a step (gradients, norms, compression with the
+//! worker's own error feedback) runs on scoped threads, up to the budget
+//! of [`DistributedTrainer::set_threads`]; the result is bit-identical
+//! for any thread count (see [`DistributedTrainer::step`] and DESIGN.md).
 
-use espresso_gc::{aggregate::synchronize_masked, Compressor, ErrorFeedback, GcAlgorithm};
+use espresso_gc::{
+    aggregate::Average, CompressCtx, CompressedTensor, Compressor, ErrorFeedback, GcAlgorithm,
+};
 
 use crate::{data::Dataset, mlp::Mlp, optimizer::Optimizer};
 
@@ -65,6 +72,159 @@ pub struct DistributedTrainer {
     /// most recent step — the denominator of the relative compression
     /// error the ratio controller observes.
     grad_norm_sq: Vec<f64>,
+    /// Threads the per-worker half of a step may use.
+    threads: usize,
+    /// One gradient buffer per thread, reused across that thread's
+    /// workers and across steps.
+    scratch: Vec<Vec<Vec<f32>>>,
+    /// The synchronized gradient, one buffer per tensor, reused across
+    /// steps.
+    synced: Vec<Vec<f32>>,
+}
+
+/// What one worker's half of a step hands to the aggregation.
+struct WorkerOut {
+    loss: f32,
+    /// Squared L2 norm of each gradient tensor.
+    norm_sq: Vec<f64>,
+    /// Compressed mode: each tensor's part, compressed with the worker's
+    /// own error feedback. Empty in FP32 mode.
+    parts: Vec<CompressedTensor>,
+    /// FP32 mode: the raw gradients. Empty in compressed mode.
+    grads: Vec<Vec<f32>>,
+}
+
+/// A contiguous run of workers, `first..first + shards.len()`, with their
+/// error-feedback rows and the gradient buffer they take turns using.
+struct Chunk<'a> {
+    first: usize,
+    shards: &'a [Dataset],
+    ef: &'a mut [Vec<ErrorFeedback>],
+    grads: &'a mut Vec<Vec<f32>>,
+}
+
+/// The uniform compressor and the per-tensor ratio plan overriding it.
+type Compressors<'a> = (&'a dyn Compressor, &'a [Box<dyn Compressor>]);
+
+/// The read-only inputs every worker of a step shares.
+#[derive(Clone, Copy)]
+struct WorkerStep<'a> {
+    model: &'a Mlp,
+    /// `None` in FP32 mode.
+    compressors: Option<Compressors<'a>>,
+    step: usize,
+    batch_per_worker: usize,
+}
+
+impl WorkerStep<'_> {
+    /// The worker half of a step for every worker of `chunk`, in worker
+    /// order, handing each result to `emit` as soon as it is ready. The
+    /// workers reuse the chunk's gradient buffer in turn (FP32 mode hands
+    /// the gradients on, so it allocates afresh).
+    fn run(self, chunk: Chunk<'_>, mut emit: impl FnMut(WorkerOut)) {
+        let mut batch = vec![0usize; self.batch_per_worker];
+        for (i, (shard, ef)) in chunk.shards.iter().zip(chunk.ef).enumerate() {
+            let w = chunk.first + i;
+            for (b, slot) in batch.iter_mut().enumerate() {
+                *slot = (self.step * self.batch_per_worker + b + w * 13) % shard.len();
+            }
+            let grads = &mut *chunk.grads;
+            let loss = self.model.loss_and_grads_into(shard, &batch, grads);
+            let norm_sq = norms_sq(grads);
+            emit(match self.compressors {
+                None => WorkerOut {
+                    loss,
+                    norm_sq,
+                    parts: Vec::new(),
+                    grads: std::mem::take(grads),
+                },
+                Some((uniform, per_tensor)) => WorkerOut {
+                    loss,
+                    norm_sq,
+                    parts: ef
+                        .iter_mut()
+                        .zip(grads.iter())
+                        .enumerate()
+                        .map(|(t, (ef, g))| {
+                            let c = per_tensor.get(t).map_or(uniform, |c| c.as_ref());
+                            let ctx = CompressCtx {
+                                round: self.step as u64,
+                                worker: w as u64,
+                                tensor: t as u64,
+                            };
+                            ef.compress_with_feedback(c, g, ctx)
+                        })
+                        .collect(),
+                    grads: Vec::new(),
+                },
+            });
+        }
+    }
+
+    /// [`WorkerStep::run`], keeping the results.
+    fn collect(self, chunk: Chunk<'_>) -> Vec<WorkerOut> {
+        let mut outs = Vec::with_capacity(chunk.shards.len());
+        self.run(chunk, |out| outs.push(out));
+        outs
+    }
+}
+
+/// The step's sums — mean loss, per-tensor norms and the synchronized
+/// gradient — folded from the workers' results strictly in worker order,
+/// on whichever thread holds it.
+struct Reduce<'a> {
+    workers: usize,
+    delivered: Option<&'a [bool]>,
+    /// The worker whose result comes next.
+    next: usize,
+    loss: f32,
+    norm_sq: Vec<f64>,
+    sums: Sums<'a>,
+}
+
+enum Sums<'a> {
+    /// One running average per tensor, with the tensor's compressor.
+    Compressed(Vec<(Average<'a>, &'a dyn Compressor)>),
+    /// FP32: each delivered gradient scaled by `inv` and added.
+    Dense { out: &'a mut [Vec<f32>], inv: f32 },
+}
+
+impl Reduce<'_> {
+    fn add(&mut self, out: WorkerOut) {
+        let w = self.next;
+        self.next += 1;
+        self.loss += out.loss / self.workers as f32;
+        for (acc, n) in self.norm_sq.iter_mut().zip(&out.norm_sq) {
+            *acc += n;
+        }
+        if !self.delivered.is_none_or(|mask| mask[w]) {
+            return;
+        }
+        match &mut self.sums {
+            Sums::Compressed(averages) => {
+                for ((average, c), part) in averages.iter_mut().zip(&out.parts) {
+                    average.add(*c, part);
+                }
+            }
+            Sums::Dense { out: sums, inv } => {
+                for (sum, g) in sums.iter_mut().zip(&out.grads) {
+                    for (o, &v) in sum.iter_mut().zip(g) {
+                        *o += v * *inv;
+                    }
+                }
+            }
+        }
+    }
+
+    /// The mean loss and the mean per-tensor squared norms; the
+    /// synchronized gradient is left in the buffers.
+    fn finish(self) -> (f32, Vec<f64>) {
+        if let Sums::Compressed(averages) = self.sums {
+            averages.into_iter().for_each(|(average, _)| average.finish());
+        }
+        let n = self.workers as f64;
+        (self.loss, self.norm_sq.into_iter().map(|s| s / n).collect())
+    }
 }
 
 impl DistributedTrainer {
@@ -104,7 +264,17 @@ impl DistributedTrainer {
             tensor_algos: None,
             tensor_compressors: Vec::new(),
             grad_norm_sq: Vec::new(),
+            threads: 1,
+            scratch: Vec::new(),
+            synced: Vec::new(),
         }
+    }
+
+    /// Sets how many threads the per-worker half of a step may use
+    /// (clamped to at least 1; 1, the default, runs on the caller's
+    /// thread). Training is bit-identical for every value.
+    pub fn set_threads(&mut self, threads: usize) {
+        self.threads = threads.max(1);
     }
 
     /// The configured synchronization mode.
@@ -272,9 +442,10 @@ impl DistributedTrainer {
     /// what the survivors were carrying rather than an empty residual
     /// that would skew the per-worker average.
     ///
-    /// Shares are computed from a pre-donation snapshot, so the result is
-    /// a pure function of the EF grid — a deterministic requirement of
-    /// the bitwise crash-resume guarantee.
+    /// Shares are computed from the pre-donation residuals (the new row
+    /// is built before any survivor shrinks), so the result is a pure
+    /// function of the EF grid — a deterministic requirement of the
+    /// bitwise crash-resume guarantee.
     ///
     /// # Panics
     ///
@@ -284,20 +455,17 @@ impl DistributedTrainer {
         assert!(w <= self.workers, "insert index {w} out of range");
         if !self.ef.is_empty() {
             let share = 1.0 / (self.workers + 1) as f32;
-            let snapshot = self.ef.clone();
-            let tensors = snapshot[0].len();
-            let mut row: Vec<ErrorFeedback> = (0..tensors)
-                .map(|t| ErrorFeedback::new(snapshot[0][t].residual().len()))
+            let mut row: Vec<ErrorFeedback> = self.ef[0]
+                .iter()
+                .map(|t| ErrorFeedback::new(t.residual().len()))
                 .collect();
-            for donor in &snapshot {
+            for donor in &self.ef {
                 for (acc, donor_t) in row.iter_mut().zip(donor) {
                     acc.merge_scaled(donor_t, share);
                 }
             }
-            for (kept, donated) in self.ef.iter_mut().zip(&snapshot) {
-                for (survivor, donated_t) in kept.iter_mut().zip(donated) {
-                    survivor.split_scaled(donated_t, share);
-                }
+            for survivor in self.ef.iter_mut().flatten() {
+                survivor.split_own(share);
             }
             self.ef.insert(w, row);
         }
@@ -311,13 +479,23 @@ impl DistributedTrainer {
     ///
     /// `delivered`, when given, marks which workers' gradient pushes
     /// arrived this step (a dropped push still updates the sender's
-    /// error-feedback state — see `synchronize_masked`). FP32 mode
-    /// averages over the delivered contributions only.
+    /// error-feedback state, as in `synchronize_masked`). The average is
+    /// taken over the delivered contributions only.
+    ///
+    /// Each worker's half — its batch, gradients, per-tensor norms and
+    /// compression with its own error feedback — runs on one of up to
+    /// [`Self::set_threads`] scoped threads, workers assigned in fixed
+    /// contiguous chunks. The results are folded into the losses, norms
+    /// and per-tensor aggregates strictly in worker order: the first
+    /// chunk's thread starts the fold, the calling thread finishes it.
+    /// Every float operation and its order is the same for any thread
+    /// count, so the step is too, bit for bit.
     ///
     /// # Panics
     ///
     /// Panics unless `shards` has one entry per worker (re-shard after
-    /// [`Self::remove_worker`]) and [`Self::begin`] (or a restore) ran.
+    /// [`Self::remove_worker`]) and [`Self::begin`] (or a restore) ran,
+    /// or if `delivered` has the wrong length or delivers nothing.
     pub fn step(
         &mut self,
         model: &mut Mlp,
@@ -334,58 +512,114 @@ impl DistributedTrainer {
                 "ratio plan length must match the model's tensor count"
             );
         }
-        self.grad_norm_sq = vec![0.0; model.num_tensors()];
-        // Each worker's gradients on its own mini-batch.
-        let mut worker_grads: Vec<Vec<Vec<f32>>> = Vec::with_capacity(self.workers);
-        let mut mean_loss = 0.0f32;
-        for (w, shard) in shards.iter().enumerate() {
-            let batch: Vec<usize> = (0..self.batch_per_worker)
-                .map(|b| (step * self.batch_per_worker + b + w * 13) % shard.len())
-                .collect();
-            let (loss, grads) = model.loss_and_grads(shard, &batch);
-            mean_loss += loss / self.workers as f32;
-            worker_grads.push(grads);
+        if let Some(mask) = delivered {
+            assert_eq!(mask.len(), self.workers, "one delivery flag per worker");
+            assert!(mask.iter().any(|&d| d), "every push in the round was lost");
         }
-        // Synchronize each tensor across workers, borrowing every worker's
-        // gradient in place.
-        let synced: Vec<Vec<f32>> = (0..model.num_tensors())
-            .map(|t| {
-                let per_worker: Vec<&[f32]> =
-                    worker_grads.iter().map(|g| g[t].as_slice()).collect();
-                self.grad_norm_sq[t] = sum_sq_per_worker(&per_worker).iter().sum::<f64>()
-                    / per_worker.len() as f64;
-                match &self.compressor {
-                    None => average_masked(&per_worker, delivered),
-                    Some(c) => {
-                        // The per-tensor ratio plan overrides the uniform
-                        // compressor where installed.
-                        let c = self.tensor_compressors.get(t).unwrap_or(c);
-                        // Move tensor t's per-worker EF states out,
-                        // synchronize, and put them back (the states
-                        // live in a worker-major grid, `synchronize`
-                        // wants them tensor-major).
-                        let mut taken: Vec<ErrorFeedback> = self
-                            .ef
-                            .iter_mut()
-                            .map(|w| std::mem::take(&mut w[t]))
-                            .collect();
-                        let out = synchronize_masked(
-                            c.as_ref(),
-                            &per_worker,
-                            &mut taken,
-                            step as u64,
-                            t as u64,
-                            delivered,
-                        );
-                        for (w, state) in taken.into_iter().enumerate() {
-                            self.ef[w][t] = state;
-                        }
-                        out
+
+        // Size the reused buffers here, so the threads allocate none.
+        let tensors = model.num_tensors();
+        let threads = self.threads.min(self.workers);
+        self.scratch.resize_with(threads, Vec::new);
+        self.synced.resize_with(tensors, Vec::new);
+        for grads in self.scratch.iter_mut().chain([&mut self.synced]) {
+            grads.resize_with(tensors, Vec::new);
+            for (t, g) in grads.iter_mut().enumerate() {
+                g.resize(model.tensor_len(t), 0.0);
+            }
+        }
+        let compressors = self
+            .compressor
+            .as_deref()
+            .map(|c| (c, self.tensor_compressors.as_slice()));
+        let reduce = Reduce {
+            workers: self.workers,
+            delivered,
+            next: 0,
+            loss: 0.0,
+            // Sums start at -0.0, as `Iterator::sum` does.
+            norm_sq: vec![-0.0; tensors],
+            sums: match compressors {
+                Some((uniform, per_tensor)) => Sums::Compressed(
+                    self.synced
+                        .iter_mut()
+                        .enumerate()
+                        .map(|(t, out)| {
+                            // The per-tensor ratio plan overrides the
+                            // uniform compressor where installed.
+                            let c = per_tensor.get(t).map_or(uniform, |c| c.as_ref());
+                            (Average::new(out), c)
+                        })
+                        .collect(),
+                ),
+                None => {
+                    self.synced.iter_mut().for_each(|out| out.fill(0.0));
+                    let arrived =
+                        delivered.map_or(self.workers, |m| m.iter().filter(|&&d| d).count());
+                    Sums::Dense {
+                        out: &mut self.synced,
+                        inv: 1.0 / arrived as f32,
                     }
+                }
+            },
+        };
+        let shared = WorkerStep {
+            model,
+            compressors,
+            step,
+            batch_per_worker: self.batch_per_worker,
+        };
+        // Chunk i holds workers i*W/T .. (i+1)*W/T: contiguous, in order,
+        // sizes within one of each other.
+        let bound = |i: usize| i * self.workers / threads;
+        let mut ef = &mut self.ef[..];
+        let mut chunks: Vec<Chunk> = self
+            .scratch
+            .iter_mut()
+            .enumerate()
+            .map(|(i, grads)| {
+                let (first, end) = (bound(i), bound(i + 1));
+                let (head, tail) = std::mem::take(&mut ef).split_at_mut(end - first);
+                ef = tail;
+                Chunk {
+                    first,
+                    shards: &shards[first..end],
+                    ef: head,
+                    grads,
                 }
             })
             .collect();
-        let deltas = self.optimizer.step(&synced);
+
+        // The worker half, one thread per chunk. The first chunk folds
+        // each result into the sums as soon as it is ready, so its thread
+        // holds one worker's parts at a time; the others keep theirs for
+        // this thread to fold, in worker order, once the first is done.
+        // The last chunk runs on this thread.
+        let last = if chunks.len() > 1 { chunks.pop() } else { None };
+        let mut chunks = chunks.into_iter();
+        let lead = chunks.next().expect("at least one worker");
+        let lead = move || {
+            let mut reduce = reduce;
+            shared.run(lead, |out| reduce.add(out));
+            reduce
+        };
+        let (mean_loss, grad_norm_sq) = match last {
+            None => lead().finish(),
+            Some(last) => std::thread::scope(|s| {
+                let lead = s.spawn(lead);
+                let middle: Vec<_> = chunks
+                    .map(|chunk| s.spawn(move || shared.collect(chunk)))
+                    .collect();
+                let last = shared.collect(last);
+                let mut reduce = join(lead);
+                for outs in middle.into_iter().map(join).chain([last]) {
+                    outs.into_iter().for_each(|out| reduce.add(out));
+                }
+                reduce.finish()
+            }),
+        };
+        self.grad_norm_sq = grad_norm_sq;
+        let deltas = self.optimizer.step(&self.synced);
         model.apply(&deltas, 1.0);
         mean_loss
     }
@@ -416,25 +650,19 @@ impl DistributedTrainer {
     }
 }
 
-/// Each tensor's squared L2 norm as an `f64`, summed in element order.
-///
-/// Every tensor keeps its own sequential chain, so each sum is exactly
-/// the plain left-to-right one; four tensors advance together so the
-/// chains' add latencies overlap instead of serializing. Chains start at
-/// `-0.0`, as `Iterator::sum` does, so even an empty tensor's sum keeps
-/// its bits.
-fn sum_sq_per_worker(tensors: &[&[f32]]) -> Vec<f64> {
+/// Squared L2 norm of each tensor as an `f64`, each summed in element
+/// order from `-0.0`, as `Iterator::sum` starts, so even an empty
+/// tensor's sum keeps its bits. Tensors go in groups of four whose chains
+/// advance side by side over their common length, so the chains' add
+/// latencies overlap; each then finishes its own tail.
+fn norms_sq(tensors: &[Vec<f32>]) -> Vec<f64> {
     let sq = |v: f32| f64::from(v) * f64::from(v);
     let mut sums = Vec::with_capacity(tensors.len());
     let mut groups = tensors.chunks_exact(4);
     for group in groups.by_ref() {
-        let &[a, b, c, d] = group else {
+        let [a, b, c, d] = group else {
             unreachable!("chunks_exact(4) yields groups of four");
         };
-        assert!(
-            [b, c, d].iter().all(|g| g.len() == a.len()),
-            "worker gradients differ in length"
-        );
         let mut acc = [-0.0f64; 4];
         for (((&a, &b), &c), &d) in a.iter().zip(b).zip(c).zip(d) {
             acc[0] += sq(a);
@@ -442,40 +670,23 @@ fn sum_sq_per_worker(tensors: &[&[f32]]) -> Vec<f64> {
             acc[2] += sq(c);
             acc[3] += sq(d);
         }
+        let common = a.len().min(b.len()).min(c.len()).min(d.len());
+        for (acc, g) in acc.iter_mut().zip(group) {
+            *acc = g[common..].iter().fold(*acc, |s, &v| s + sq(v));
+        }
         sums.extend(acc);
     }
     for g in groups.remainder() {
-        sums.push(g.iter().fold(-0.0, |acc, &v| acc + sq(v)));
+        sums.push(g.iter().fold(-0.0, |s, &v| s + sq(v)));
     }
     sums
 }
 
-fn average_masked(grads: &[&[f32]], delivered: Option<&[bool]>) -> Vec<f32> {
-    match delivered {
-        None => average(grads),
-        Some(mask) => {
-            assert_eq!(mask.len(), grads.len(), "one delivery flag per worker");
-            let arrived: Vec<&[f32]> = grads
-                .iter()
-                .zip(mask)
-                .filter(|(_, &d)| d)
-                .map(|(&g, _)| g)
-                .collect();
-            assert!(!arrived.is_empty(), "every push in the round was lost");
-            average(&arrived)
-        }
-    }
-}
-
-fn average(grads: &[&[f32]]) -> Vec<f32> {
-    let mut out = vec![0.0f32; grads[0].len()];
-    let inv = 1.0 / grads.len() as f32;
-    for g in grads {
-        for (o, &v) in out.iter_mut().zip(*g) {
-            *o += v * inv;
-        }
-    }
-    out
+/// Joins a scoped worker thread, re-raising its panic here.
+fn join<T>(handle: std::thread::ScopedJoinHandle<'_, T>) -> T {
+    handle
+        .join()
+        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
 }
 
 #[cfg(test)]
@@ -671,26 +882,123 @@ mod tests {
         assert_eq!(run(), run(), "EF split must be bit-reproducible");
     }
 
+    /// Reference `insert_worker`: shares from a snapshot of the whole
+    /// grid, survivors split against the snapshot.
+    fn insert_worker_from_snapshot(ef: &mut Vec<Vec<ErrorFeedback>>, w: usize) {
+        let share = 1.0 / (ef.len() + 1) as f32;
+        let snapshot = ef.clone();
+        let mut row: Vec<ErrorFeedback> = snapshot[0]
+            .iter()
+            .map(|t| ErrorFeedback::new(t.residual().len()))
+            .collect();
+        for donor in &snapshot {
+            for (acc, donor_t) in row.iter_mut().zip(donor) {
+                acc.merge_scaled(donor_t, share);
+            }
+        }
+        for (kept, donated) in ef.iter_mut().zip(&snapshot) {
+            for (survivor, donated_t) in kept.iter_mut().zip(donated) {
+                survivor.split_scaled(donated_t, share);
+            }
+        }
+        ef.insert(w, row);
+    }
+
+    fn ef_bits(ef: &[Vec<ErrorFeedback>]) -> Vec<u32> {
+        ef.iter()
+            .flatten()
+            .flat_map(|e| e.residual().iter().map(|r| r.to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn in_place_insert_matches_the_snapshot_version_bit_for_bit() {
+        let (data, _) = Dataset::blobs(400, 6, 3, 0.3, 5).split(0.25);
+        for workers in [1usize, 2, 3, 5, 8] {
+            let mut model = Mlp::new(6, 12, 3, 7);
+            let mut trainer = DistributedTrainer::new(
+                workers,
+                8,
+                0.2,
+                SyncMode::Compressed(GcAlgorithm::Dgc { density: 0.1 }),
+            );
+            trainer.begin(&model);
+            let shards = data.shards(workers);
+            for step in 0..3 {
+                trainer.step(&mut model, &shards, step, None);
+            }
+            for at in [0, workers / 2, workers] {
+                let mut want = trainer.ef_states().to_vec();
+                insert_worker_from_snapshot(&mut want, at);
+                let mut grown = DistributedTrainer::new(
+                    workers,
+                    8,
+                    0.2,
+                    SyncMode::Compressed(GcAlgorithm::Dgc { density: 0.1 }),
+                );
+                grown.restore_ef(trainer.ef_states().to_vec());
+                grown.insert_worker(at);
+                assert_eq!(
+                    ef_bits(grown.ef_states()),
+                    ef_bits(&want),
+                    "{workers} workers, insert at {at}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn steps_are_bit_identical_for_any_thread_count() {
+        let (data, _) = Dataset::blobs(400, 6, 3, 0.3, 5).split(0.25);
+        let modes = [
+            SyncMode::Fp32,
+            SyncMode::Compressed(GcAlgorithm::Dgc { density: 0.1 }),
+            SyncMode::Compressed(GcAlgorithm::EfSignSgd),
+            SyncMode::Compressed(GcAlgorithm::Fp16),
+        ];
+        for mode in modes {
+            let run = |threads: usize| {
+                let mut model = Mlp::new(6, 12, 3, 7);
+                let mut trainer = DistributedTrainer::new(5, 8, 0.2, mode);
+                trainer.set_threads(threads);
+                trainer.begin(&model);
+                let shards = data.shards(5);
+                let mut losses = Vec::new();
+                for step in 0..4 {
+                    let mask = [true, step != 2, true, true, step != 1];
+                    losses.push(trainer.step(&mut model, &shards, step, Some(&mask)).to_bits());
+                }
+                let params: Vec<u32> =
+                    model.params().iter().flatten().map(|p| p.to_bits()).collect();
+                let norms: Vec<u64> = trainer.grad_norm_sq.iter().map(|n| n.to_bits()).collect();
+                (losses, params, norms, ef_bits(trainer.ef_states()))
+            };
+            let one = run(1);
+            for threads in [2, 3, 8] {
+                assert!(run(threads) == one, "{} at {threads} threads", mode.name());
+            }
+        }
+    }
+
     #[test]
     fn interleaved_norm_chains_match_plain_sums() {
-        // Every tensor count around the group size of four, lengths that
-        // differ between calls, an empty tensor, and values whose squares
-        // round differently depending on summation order.
-        for workers in 0..10usize {
-            for len in [0usize, 1, 7, 130] {
-                let tensors: Vec<Vec<f32>> = (0..workers)
-                    .map(|w| {
-                        (0..len)
+        // Tensor counts around the group size of four, lengths that
+        // differ within a group (including empty tensors), and values
+        // whose squares round differently depending on summation order.
+        let lens = [0usize, 1, 7, 130, 3, 0, 64, 1000, 2];
+        for count in 0..lens.len() {
+            for shift in 0..lens.len() {
+                let tensors: Vec<Vec<f32>> = (0..count)
+                    .map(|t| {
+                        (0..lens[(t + shift) % lens.len()])
                             .map(|i| {
-                                let x = ((i * 31 + w * 7) as f32 * 0.618).sin();
+                                let x = ((i * 31 + t * 7) as f32 * 0.618).sin();
                                 x * 10f32.powi((i % 9) as i32 - 4)
                             })
                             .collect()
                     })
                     .collect();
-                let slices: Vec<&[f32]> = tensors.iter().map(Vec::as_slice).collect();
-                let got: Vec<u64> =
-                    sum_sq_per_worker(&slices).iter().map(|s| s.to_bits()).collect();
+                let got: Vec<u64> = norms_sq(&tensors).iter().map(|s| s.to_bits()).collect();
                 let want: Vec<u64> = tensors
                     .iter()
                     .map(|g| {
@@ -700,7 +1008,7 @@ mod tests {
                             .to_bits()
                     })
                     .collect();
-                assert_eq!(got, want, "{workers} tensors of {len}");
+                assert_eq!(got, want, "{count} tensors, shift {shift}");
             }
         }
     }

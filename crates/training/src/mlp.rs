@@ -158,8 +158,26 @@ impl Mlp {
     /// the samples' contributions in batch order, so the result is bit
     /// for bit that of a per-sample loop; only the memory traffic drops.
     pub fn loss_and_grads(&self, data: &Dataset, batch: &[usize]) -> (f32, Vec<Vec<f32>>) {
+        let mut grads = Vec::new();
+        let loss = self.loss_and_grads_into(data, batch, &mut grads);
+        (loss, grads)
+    }
+
+    /// As [`Mlp::loss_and_grads`], writing the gradients into `grads`
+    /// (resized to the four parameter tensors and zeroed first), so a
+    /// caller looping over workers reuses one buffer. Returns the loss.
+    pub fn loss_and_grads_into(
+        &self,
+        data: &Dataset,
+        batch: &[usize],
+        grads: &mut Vec<Vec<f32>>,
+    ) -> f32 {
         assert!(!batch.is_empty(), "empty batch");
-        let mut grads: Vec<Vec<f32>> = self.params.iter().map(|p| vec![0.0; p.len()]).collect();
+        grads.resize_with(NUM_TENSORS, Vec::new);
+        for (g, p) in grads.iter_mut().zip(&self.params) {
+            g.clear();
+            g.resize(p.len(), 0.0);
+        }
         let [g_w1, g_b1, g_w2, g_b2] = &mut grads[..] else {
             unreachable!("an MLP has four parameter tensors");
         };
@@ -213,7 +231,7 @@ impl Mlp {
                 }
             }
         }
-        (loss * inv, grads)
+        loss * inv
     }
 
     /// Applies an SGD step with the given per-tensor gradients.

@@ -37,7 +37,10 @@
 //!   checkpoint, bit-identically to an uninterrupted run.
 
 use espresso::robust::MonitorVerdict;
-use espresso::{replan_with_context, DegradationMonitor, Espresso, EspressoError, ReplanContext, Strategy};
+use espresso::{
+    replan_with_context, DegradationMonitor, Espresso, EspressoError, EvalPool, ReplanContext,
+    Strategy,
+};
 use espresso_adapt::RatioController;
 use espresso_cluster::{ClusterError, ClusterHealth, Membership};
 use espresso_gc::GcAlgorithm;
@@ -219,6 +222,10 @@ pub struct RuntimeConfig {
     /// per-tensor ratios from the observed error-feedback residuals and
     /// routes every plan change through the re-planning path.
     pub adapt: Option<espresso_adapt::ControllerConfig>,
+    /// The run's thread budget: the trainer's per-worker step and the
+    /// robust re-plans both use up to this many threads. Results are
+    /// bit-identical for every value, so a run may resume under another.
+    pub threads: usize,
 }
 
 impl RuntimeConfig {
@@ -246,14 +253,15 @@ impl RuntimeConfig {
             faults: TrainFaultPlan::nominal(),
             recovery_patience: 5,
             adapt: None,
+            threads: std::thread::available_parallelism().map_or(1, usize::from),
         }
     }
 
     fn validate(&self) -> Result<(), RuntimeError> {
         let config_err = |message: String| RuntimeError::Config { message };
-        if self.workers == 0 || self.steps == 0 || self.eval_every == 0 {
+        if self.workers == 0 || self.steps == 0 || self.eval_every == 0 || self.threads == 0 {
             return Err(config_err(
-                "workers, steps, and eval_every must be positive".into(),
+                "workers, steps, eval_every, and threads must be positive".into(),
             ));
         }
         if self.job.cluster.total_gpus() != self.workers {
@@ -419,6 +427,7 @@ impl TrainingRuntime {
                 .map_or_else(|| cfg.optimizer.clone(), |s| s.optimizer.clone()),
             active_mode(fallback_active),
         );
+        trainer.set_threads(cfg.threads);
         match &restored {
             Some(state) => trainer.restore_ef(state.ef.clone()),
             None => trainer.begin(&model),
@@ -450,7 +459,7 @@ impl TrainingRuntime {
         // re-running the planner. Rebuilt empty on resume — the warm
         // path returns the same bytes a cold plan would, so crash/resume
         // determinism is unaffected.
-        let mut replan_ctx = ReplanContext::new();
+        let mut replan_ctx = ReplanContext::with_pool(EvalPool::new(cfg.threads));
         let mut current: Strategy = if fallback_active {
             DegradationMonitor::fallback_strategy(&cfg.job)
         } else if pristine {
@@ -960,6 +969,42 @@ mod tests {
         let a = TrainingRuntime::new(make()).run(&data, &eval).unwrap();
         let b = TrainingRuntime::new(make()).run(&data, &eval).unwrap();
         assert_eq!(a.state_fingerprint(), b.state_fingerprint());
+    }
+
+    #[test]
+    fn degraded_runs_are_identical_at_one_and_three_threads() {
+        // Inter-link degrades route re-plans through the robust ensemble,
+        // whose selections fan out across the run's threads; the crash
+        // and re-join under degraded health re-plan it again on a
+        // different cluster, and the dropped push masks the aggregation.
+        let (data, eval) = small_data();
+        let spec = "degrade=4:2.5,crash=8:1,rejoin=14:1,drop=18:2,degrade=22:3.5";
+        let run = |threads: usize| {
+            let mut cfg = small_config();
+            cfg.faults = TrainFaultPlan::parse(spec, cfg.workers, cfg.steps).unwrap();
+            cfg.threads = threads;
+            TrainingRuntime::new(cfg).run(&data, &eval).unwrap()
+        };
+        let one = run(1);
+        let robust_replans = one
+            .events
+            .iter()
+            .filter(|e| matches!(e, RuntimeEvent::Replanned { chosen, .. } if chosen != "espresso"))
+            .count();
+        assert!(robust_replans >= 2, "expected robust re-plans: {:?}", one.events);
+        let three = run(3);
+        assert_eq!(three.events, one.events);
+        assert_eq!(three.state_fingerprint(), one.state_fingerprint());
+        assert_eq!(three.weights_fingerprint(), one.weights_fingerprint());
+    }
+
+    #[test]
+    fn zero_threads_is_a_config_error() {
+        let (data, eval) = small_data();
+        let mut cfg = small_config();
+        cfg.threads = 0;
+        let err = TrainingRuntime::new(cfg).run(&data, &eval).unwrap_err();
+        assert!(matches!(err, RuntimeError::Config { .. }), "{err}");
     }
 
     #[test]

@@ -12,6 +12,11 @@
 //! run whose per-tensor ratio plan changes mid-run (RandomK through the
 //! default `Compressor::accumulate_into`).
 //!
+//! Every case runs at several thread counts — one, two, an uneven split of
+//! the workers (three) and more threads than workers (eight) — and must
+//! land on the same pinned values at each: the parallel step is
+//! bit-identical for any thread count.
+//!
 //! If a change is *meant* to alter training numerics, record the new values
 //! and say why in the commit message; otherwise a mismatch is a bug.
 
@@ -26,6 +31,7 @@ const DIMS: usize = 21;
 const HIDDEN: usize = 37;
 const CLASSES: usize = 3;
 const STEPS: usize = 30;
+const THREADS: [usize; 4] = [1, 2, 3, 8];
 
 fn config(algo: GcAlgorithm, plan_seed: u64) -> RuntimeConfig {
     let job = Job::new(Model::Lstm.profile(), Cluster::pcie_25g(2, 2), algo);
@@ -58,31 +64,42 @@ fn fingerprints(report: &RuntimeReport) -> (String, String) {
     )
 }
 
-fn assert_pinned(name: &str, report: &RuntimeReport, state: &str, weights: &str) {
-    let got = fingerprints(report);
-    assert_eq!(
-        (got.0.as_str(), got.1.as_str()),
-        (state, weights),
-        "{name}: (state, weights) fingerprints moved"
-    );
+/// Runs `cfg` at every thread count and checks each run against the
+/// pinned `(state, weights)` fingerprints. Returns the last report.
+fn assert_pinned(name: &str, cfg: RuntimeConfig, state: &str, weights: &str) -> RuntimeReport {
+    let mut last = None;
+    for threads in THREADS {
+        let report = run(RuntimeConfig {
+            threads,
+            ..cfg.clone()
+        });
+        let got = fingerprints(&report);
+        assert_eq!(
+            (got.0.as_str(), got.1.as_str()),
+            (state, weights),
+            "{name} at {threads} threads: (state, weights) fingerprints moved"
+        );
+        last = Some(report);
+    }
+    last.expect("at least one thread count")
 }
 
 #[test]
 fn dgc_churn_run_is_pinned() {
-    let report = run(config(GcAlgorithm::Dgc { density: 0.05 }, 3));
-    assert_pinned("dgc", &report, "3b0dca6058a8c8e8", "ec932f9f503c8ff7");
+    let cfg = config(GcAlgorithm::Dgc { density: 0.05 }, 3);
+    assert_pinned("dgc", cfg, "3b0dca6058a8c8e8", "ec932f9f503c8ff7");
 }
 
 #[test]
 fn efsignsgd_churn_run_is_pinned() {
-    let report = run(config(GcAlgorithm::EfSignSgd, 7));
-    assert_pinned("efsignsgd", &report, "0f021161c10ee0ee", "d1b7ed1a0ee3143f");
+    let cfg = config(GcAlgorithm::EfSignSgd, 7);
+    assert_pinned("efsignsgd", cfg, "0f021161c10ee0ee", "d1b7ed1a0ee3143f");
 }
 
 #[test]
 fn fp16_churn_run_is_pinned() {
-    let report = run(config(GcAlgorithm::Fp16, 7));
-    assert_pinned("fp16", &report, "6e8583674daade63", "c053e2fd5c75a4c2");
+    let cfg = config(GcAlgorithm::Fp16, 7);
+    assert_pinned("fp16", cfg, "6e8583674daade63", "c053e2fd5c75a4c2");
 }
 
 #[test]
@@ -94,17 +111,16 @@ fn adaptive_ratio_run_is_pinned() {
         patience: 1,
         cooldown: 0,
     });
-    let report = run(cfg);
+    let report = assert_pinned(
+        "adaptive randomk",
+        cfg,
+        "f47cddf50d6fc225",
+        "c8d0b74c5e23e0f6",
+    );
     let adjustments = report
         .final_state
         .controller
         .as_ref()
         .map_or(0, |c| c.adjustments());
     assert!(adjustments >= 1, "the ratio plan never moved");
-    assert_pinned(
-        "adaptive randomk",
-        &report,
-        "f47cddf50d6fc225",
-        "c8d0b74c5e23e0f6",
-    );
 }

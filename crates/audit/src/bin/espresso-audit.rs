@@ -197,6 +197,17 @@ fn decide_step(args: &Args) -> bool {
         report.fast_simulations(),
         report.failures.len(),
     );
+    let t = report.trials;
+    println!(
+        "   delta trials: {} total; {} simulated, {} resynced, {} aborted mid-run, {} pruned by the static bound, {} pruned by the pin, {} memo hits",
+        t.trials(),
+        t.simulated,
+        t.resynced,
+        t.aborted,
+        t.pruned_static,
+        t.pruned_pin,
+        t.memo_hits,
+    );
     for repro in &report.failures {
         println!("   divergence reproduction:\n{}", repro.render());
     }

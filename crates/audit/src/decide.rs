@@ -37,7 +37,7 @@ use espresso::{Espresso, EvalPool, PlannerMode, Report};
 use espresso_cluster::{ClusterHealth, IntraFabric};
 use espresso_gc::GcAlgorithm;
 use espresso_json::{Json, ToJson};
-use espresso_sim::{SimConfig, SimResult, Simulator};
+use espresso_sim::{SimConfig, SimResult, Simulator, TrialCounts};
 
 use crate::jobs::{sample, AuditCase, Scenario};
 
@@ -116,6 +116,9 @@ pub struct DecideReport {
     pub failures: Vec<Json>,
     /// The warm-start cross-request sweep's outcome.
     pub warm: WarmReport,
+    /// How the fast path's delta trials ended across the planner-path
+    /// cases (robust ensembles included, warm sweep excluded).
+    pub trials: TrialCounts,
 }
 
 impl DecideReport {
@@ -481,6 +484,7 @@ pub fn warm_sweep(cases: usize) -> WarmReport {
 pub fn run(config: &DecideConfig) -> DecideReport {
     let mut results = Vec::with_capacity(config.jobs);
     let mut failures = Vec::new();
+    let before = TrialCounts::process_totals();
     for seed in 0..config.jobs as u64 {
         let case = decide_corpus(seed);
         let result = check_case(&case, config);
@@ -489,11 +493,13 @@ pub fn run(config: &DecideConfig) -> DecideReport {
         }
         results.push(result);
     }
+    let trials = TrialCounts::process_totals().since(before);
     let warm = warm_sweep(config.warm_cases);
     DecideReport {
         results,
         failures,
         warm,
+        trials,
     }
 }
 

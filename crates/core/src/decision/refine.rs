@@ -19,7 +19,7 @@
 use std::sync::Arc;
 
 use espresso_gc::Device;
-use espresso_sim::Simulator;
+use espresso_sim::{Simulator, TrialCounts};
 use espresso_strategy::{CompressionOption, Strategy};
 
 /// Outcome of the backfill pass.
@@ -33,6 +33,9 @@ pub struct RefineDecision {
     pub backfilled: Vec<usize>,
     /// Candidate simulations performed.
     pub simulations: usize,
+    /// How the fast path's trials ended (all zero on the reference
+    /// path) — measurement only, never part of the selection's report.
+    pub trials: TrialCounts,
 }
 
 /// Runs the CPU backfill over `base`, drawing candidates from
@@ -88,6 +91,7 @@ pub fn cpu_backfill(
         iteration_time: best_time,
         backfilled,
         simulations,
+        trials: TrialCounts::default(),
     }
 }
 
@@ -150,6 +154,7 @@ pub fn cpu_backfill_fast(
         iteration_time: best_time,
         backfilled,
         simulations,
+        trials: delta.counts(),
     }
 }
 
@@ -181,6 +186,33 @@ mod tests {
             assert!(refined.strategy.option(t).compresses());
             assert!(!refined.strategy.option(t).gpu_only());
         }
+    }
+
+    #[test]
+    fn certificates_prune_most_of_the_resnet101_backfill() {
+        // ResNet101 on one 4-GPU PCIe machine: the backfill offers every
+        // CPU option to ~300 uncompressed tensors, and nearly every trial
+        // can only tie the incumbent. The checkpoint pin certifies those
+        // ties; without it only a handful of trials are pruned.
+        let job = Job::new(
+            Model::ResNet101.profile(),
+            Cluster::pcie_25g(1, 4),
+            GcAlgorithm::dgc_1pct(),
+        );
+        let sim = Simulator::new(job.clone(), SimConfig::default());
+        let space = OptionSpace::enumerate(&job.cluster);
+        let pool = crate::parallel::EvalPool::new(1);
+        let g = gpu::decide_fast(&sim, &space.gpu_compressed(), &pool);
+        let off = offload::decide_fast(&sim, &g.strategy, 150_000);
+        let refined = cpu_backfill_fast(&sim, &off.strategy, &space.compressed(), &pool);
+        let t = refined.trials;
+        let certified = t.pruned_static + t.pruned_pin;
+        assert!(t.trials() > 1000, "{t:?}");
+        assert!(
+            certified * 10 >= t.trials() * 9,
+            "only {certified} of {} backfill trials pruned: {t:?}",
+            t.trials()
+        );
     }
 
     #[test]

@@ -239,6 +239,21 @@ impl RobustSelector {
         mode: PlannerMode,
         pool: &EvalPool,
     ) -> Result<RobustSelection, EspressoError> {
+        self.select_seeded(mode, pool, None)
+    }
+
+    /// As [`RobustSelector::select_with`], with the `nominal-espresso`
+    /// candidate supplied by a caller that already holds the Espresso
+    /// selection for this selector's job and configuration. The planner
+    /// is a pure function of those inputs (and bit-identical across
+    /// planner modes and pool widths), so the result is byte-identical
+    /// to recomputing it.
+    pub(crate) fn select_seeded(
+        &self,
+        mode: PlannerMode,
+        pool: &EvalPool,
+        nominal: Option<Strategy>,
+    ) -> Result<RobustSelection, EspressoError> {
         self.envelope.validate()?;
         if let Some(plan) = &self.faults {
             plan.validate()
@@ -260,16 +275,22 @@ impl RobustSelector {
         let names = ["nominal-espresso".to_string(), "degraded-espresso".to_string()]
             .into_iter()
             .chain((0..ensemble.len()).map(|s| format!("scenario-{s}-espresso")));
-        let jobs: Vec<Job> = [self.job.clone(), degraded_job]
+        let jobs: Vec<Job> = nominal
+            .is_none()
+            .then(|| self.job.clone())
             .into_iter()
+            .chain([degraded_job])
             .chain(ensemble.iter().cloned())
             .collect();
-        let selections = pool.map(jobs, |job| {
+        let mut selections = pool.map(jobs, |job| {
             Espresso::new(job)
                 .with_config(self.config)
                 .select_strategy_with(mode, &EvalPool::new(1))
                 .0
         });
+        if let Some(nominal) = nominal {
+            selections.insert(0, nominal);
+        }
         let mut candidates: Vec<(String, Strategy)> = names.zip(selections).collect();
         for b in Baseline::ALL {
             candidates.push((b.name().to_string(), b.strategy(&self.job)));
@@ -748,6 +769,27 @@ mod tests {
         assert!(selection.mean_time <= stale.mean + 1e-12);
         assert!(selection.worst_time.is_finite() && selection.worst_time >= selection.mean_time);
         assert_eq!(selection.strategy.len(), 10);
+    }
+
+    #[test]
+    fn a_seeded_nominal_candidate_changes_nothing() {
+        let job = small_job();
+        let selector = RobustSelector::new(job.clone(), ClusterHealth::inter_degraded(2.0));
+        let pool = EvalPool::new(1);
+        let (nominal, _) = Espresso::new(job).select_strategy_with(PlannerMode::Fast, &pool);
+        let cold = selector.select_with(PlannerMode::Fast, &pool).unwrap();
+        let seeded = selector
+            .select_seeded(PlannerMode::Fast, &pool, Some(nominal))
+            .unwrap();
+        assert_eq!(seeded.strategy, cold.strategy);
+        assert_eq!(seeded.chosen, cold.chosen);
+        assert_eq!(seeded.candidates.len(), cold.candidates.len());
+        for (s, c) in seeded.candidates.iter().zip(&cold.candidates) {
+            assert_eq!(s.name, c.name);
+            assert_eq!(s.mean.to_bits(), c.mean.to_bits());
+            assert_eq!(s.worst.to_bits(), c.worst.to_bits());
+            assert_eq!(s.admitted, c.admitted);
+        }
     }
 
     #[test]

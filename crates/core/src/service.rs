@@ -16,7 +16,8 @@ use espresso_strategy::Strategy;
 
 use crate::config::{build_job, FileConfig, GcConfig, ModelConfig, SystemConfig};
 use crate::error::EspressoError;
-use crate::espresso::{Espresso, Report};
+use crate::espresso::{Espresso, PlannerMode, Report};
+use crate::parallel::EvalPool;
 use crate::robust::{RobustSelection, RobustSelector};
 use crate::warm::WarmStartCache;
 
@@ -153,41 +154,7 @@ pub struct Decision {
 /// Any [`EspressoError`] from config resolution, fault-plan parsing, or
 /// robust selection — all carrying enough context to fix the request.
 pub fn decide(req: &DecisionRequest) -> Result<Decision, EspressoError> {
-    let job = build_job(&req.model, &req.gc, &req.system, None)?;
-    let fault_plan = req
-        .faults
-        .as_deref()
-        .map(|spec| {
-            FaultPlan::parse(spec, job.cluster.total_gpus())
-                .map_err(|e| EspressoError::Fault { message: e.message })
-        })
-        .transpose()?;
-
-    let espresso = Espresso::new(job.clone());
-    let (strategy, report) = espresso.select_strategy();
-
-    let faulted_iteration_time = fault_plan.as_ref().map(|plan| {
-        Simulator::new(job.clone(), *espresso.config()).iteration_time_with_faults(&strategy, plan)
-    });
-
-    let robust = if req.robust || !req.health.is_nominal() {
-        let mut selector = RobustSelector::new(job.clone(), req.health);
-        if let Some(plan) = fault_plan.clone() {
-            selector = selector.with_faults(plan);
-        }
-        Some(selector.select()?)
-    } else {
-        None
-    };
-
-    Ok(Decision {
-        job,
-        strategy,
-        report,
-        fault_plan,
-        faulted_iteration_time,
-        robust,
-    })
+    decide_in(req, None, SimConfig::default())
 }
 
 /// As [`decide`], seeded by a shared [`WarmStartCache`]: the nominal
@@ -206,6 +173,19 @@ pub fn decide_with_warm(
     req: &DecisionRequest,
     warm: &WarmStartCache,
 ) -> Result<Decision, EspressoError> {
+    decide_in(req, Some(warm), SimConfig::default())
+}
+
+/// The one decision pipeline behind [`decide`] and [`decide_with_warm`].
+/// `config` is the single simulator configuration the nominal selection,
+/// the fault replay and the robust ensemble all price with. Cache keys do
+/// not cover it, so every user of one `warm` cache must pass the same
+/// configuration.
+pub(crate) fn decide_in(
+    req: &DecisionRequest,
+    warm: Option<&WarmStartCache>,
+    config: SimConfig,
+) -> Result<Decision, EspressoError> {
     let job = build_job(&req.model, &req.gc, &req.system, None)?;
     let fault_plan = req
         .faults
@@ -216,34 +196,55 @@ pub fn decide_with_warm(
         })
         .transpose()?;
 
-    let nominal_key = WarmStartCache::nominal_key(&job);
-    let (strategy, report) = match warm.get_nominal(&nominal_key) {
-        Some(sel) => (sel.0.clone(), sel.1.clone()),
-        None => {
-            let sel = Espresso::new(job.clone()).select_strategy();
-            warm.insert_nominal(nominal_key, sel.clone());
-            sel
+    let select = || Espresso::new(job.clone()).with_config(config).select_strategy();
+    let (strategy, report) = match warm {
+        None => select(),
+        Some(warm) => {
+            let key = WarmStartCache::nominal_key(&job);
+            match warm.get_nominal(&key) {
+                Some(sel) => (sel.0.clone(), sel.1.clone()),
+                None => {
+                    let sel = select();
+                    warm.insert_nominal(key, sel.clone());
+                    sel
+                }
+            }
         }
     };
 
     let faulted_iteration_time = fault_plan.as_ref().map(|plan| {
-        Simulator::new(job.clone(), SimConfig::default()).iteration_time_with_faults(&strategy, plan)
+        Simulator::new(job.clone(), config).iteration_time_with_faults(&strategy, plan)
     });
 
     let robust = if req.robust || !req.health.is_nominal() {
-        let robust_key = WarmStartCache::robust_key(&job, &req.health, req.faults.as_deref());
-        match warm.get_robust(&robust_key) {
-            Some(sel) => Some((*sel).clone()),
-            None => {
-                let mut selector = RobustSelector::new(job.clone(), req.health);
-                if let Some(plan) = fault_plan.clone() {
-                    selector = selector.with_faults(plan);
-                }
-                let sel = selector.select()?;
-                warm.insert_robust(robust_key, sel.clone());
-                Some(sel)
+        // The ensemble's nominal candidate is the selection just made
+        // for the same job and configuration; hand it over instead of
+        // planning it again.
+        let select_robust = || {
+            let mut selector = RobustSelector::new(job.clone(), req.health).with_config(config);
+            if let Some(plan) = fault_plan.clone() {
+                selector = selector.with_faults(plan);
             }
-        }
+            selector.select_seeded(
+                PlannerMode::from_env(),
+                &EvalPool::from_env(),
+                Some(strategy.clone()),
+            )
+        };
+        Some(match warm {
+            None => select_robust()?,
+            Some(warm) => {
+                let key = WarmStartCache::robust_key(&job, &req.health, req.faults.as_deref());
+                match warm.get_robust(&key) {
+                    Some(sel) => (*sel).clone(),
+                    None => {
+                        let sel = select_robust()?;
+                        warm.insert_robust(key, sel.clone());
+                        sel
+                    }
+                }
+            }
+        })
     } else {
         None
     };
@@ -606,6 +607,33 @@ mod tests {
         let warm_other = decide_with_warm(&other, &warm).unwrap();
         assert_eq!(enc(&warm_other), enc(&decide(&other).unwrap()));
         assert!(warm.hits() > hits, "nominal selection reused across healths");
+    }
+
+    #[test]
+    fn warm_and_cold_paths_price_with_one_config() {
+        // A non-default configuration that moves the fault replay: were
+        // the cold and warm paths to take their configuration from two
+        // sources, their answers would split here.
+        let config = SimConfig {
+            partition_bytes: 1e6,
+            aggregate_overhead: 50e-6,
+            ..SimConfig::default()
+        };
+        let mut req = lstm_request();
+        req.faults = Some("seed=7,straggler=1.5".into());
+        req.robust = true;
+        let cold = decide_in(&req, None, config).unwrap();
+        let warm = WarmStartCache::with_enabled(16, 2, true);
+        let populate = decide_in(&req, Some(&warm), config).unwrap();
+        let replay = decide_in(&req, Some(&warm), config).unwrap();
+        let faulted = |d: &Decision| d.faulted_iteration_time.unwrap().to_bits();
+        let default = decide_in(&req, None, SimConfig::default()).unwrap();
+        assert_ne!(faulted(&cold), faulted(&default), "the config must move the price");
+        let enc = |d: &Decision| Json::encode(&d.response());
+        for d in [&populate, &replay] {
+            assert_eq!(faulted(d), faulted(&cold));
+            assert_eq!(enc(d), enc(&cold));
+        }
     }
 
     #[test]

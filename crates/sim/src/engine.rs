@@ -31,7 +31,9 @@
 //!   chained behind it), so a candidate differing from the base only at
 //!   tensors `>= k` replays bitwise-identically up to the checkpoint and
 //!   only the suffix is re-derived. The dirty-tensor watermark is
-//!   detected automatically from the block ids.
+//!   detected automatically from the block ids. Bounded trials that
+//!   provably cannot beat a threshold are skipped, including those that
+//!   can only tie the base (the checkpoint pin, [`DeltaSim::pin_bound`]).
 //! * `F(S)` memoization ([`Simulator::iteration_time_memo`]) — exact
 //!   keying by the candidate's block-id sequence, so re-encounters of a
 //!   strategy (multi-pass sweeps, odometer overlap) cost a hash lookup.
@@ -175,8 +177,6 @@ impl Plan {
         self.meta.len()
     }
 
-    /// Only the debug-build timeline audits walk predecessor lists.
-    #[cfg(debug_assertions)]
     fn preds(&self, i: usize) -> &[u32] {
         &self.pred_idx[self.pred_off[i] as usize..self.pred_off[i + 1] as usize]
     }
@@ -984,6 +984,8 @@ impl Simulator {
             base_spans: std::cell::RefCell::new(base_spans),
             trial_plan: std::cell::RefCell::new(Plan::default()),
             checkpoints: std::cell::RefCell::new(std::collections::BTreeMap::new()),
+            pin_scratch: std::cell::RefCell::new(Vec::new()),
+            counts: std::cell::Cell::new(TrialCounts::default()),
         }
     }
 
@@ -1054,6 +1056,89 @@ pub struct DeltaSim<'a> {
     /// Scratch plan the current trial is spliced into.
     trial_plan: std::cell::RefCell<Plan>,
     checkpoints: std::cell::RefCell<std::collections::BTreeMap<u32, CpEntry>>,
+    /// Per-task earliest finishes while a checkpoint pin is computed
+    /// (see [`DeltaSim::pin`]); reused across pins.
+    pin_scratch: std::cell::RefCell<Vec<f64>>,
+    counts: std::cell::Cell<TrialCounts>,
+}
+
+/// How the trials a [`DeltaSim`] handled ended — measurement only: the
+/// counts stay off the planner's report and every wire format.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TrialCounts {
+    /// Trials whose replay ran the event loop to the end (or were
+    /// handed out as a [`Screened::Live`] unit).
+    pub simulated: u64,
+    /// Replays the resync detector ended early with the exact `F`.
+    pub resynced: u64,
+    /// Replays the mid-run abort bound ended early.
+    pub aborted: u64,
+    /// Trials ruled out without running by the static resource-sum,
+    /// checkpoint and dependency-chain bounds.
+    pub pruned_static: u64,
+    /// Trials ruled out without running by the checkpoint pin.
+    pub pruned_pin: u64,
+    /// Trials answered from the `F` memo or as the base itself.
+    pub memo_hits: u64,
+}
+
+/// Process-wide sums of the counts of every dropped [`DeltaSim`], in
+/// [`TrialCounts`] field order.
+static TRIAL_TOTALS: [std::sync::atomic::AtomicU64; 6] =
+    [const { std::sync::atomic::AtomicU64::new(0) }; 6];
+
+impl TrialCounts {
+    fn fields(self) -> [u64; 6] {
+        [
+            self.simulated,
+            self.resynced,
+            self.aborted,
+            self.pruned_static,
+            self.pruned_pin,
+            self.memo_hits,
+        ]
+    }
+
+    fn from_fields(f: [u64; 6]) -> Self {
+        Self {
+            simulated: f[0],
+            resynced: f[1],
+            aborted: f[2],
+            pruned_static: f[3],
+            pruned_pin: f[4],
+            memo_hits: f[5],
+        }
+    }
+
+    /// The sums over every [`DeltaSim`] dropped so far in this process —
+    /// take two readings and [`TrialCounts::since`] to measure a span of
+    /// planner work whose handles are internal.
+    pub fn process_totals() -> Self {
+        Self::from_fields(std::array::from_fn(|i| {
+            TRIAL_TOTALS[i].load(std::sync::atomic::Ordering::Relaxed)
+        }))
+    }
+
+    /// The counts accumulated between `earlier` and `self`.
+    pub fn since(self, earlier: Self) -> Self {
+        let (a, b) = (self.fields(), earlier.fields());
+        Self::from_fields(std::array::from_fn(|i| a[i].saturating_sub(b[i])))
+    }
+
+    /// Every trial counted, whatever its outcome.
+    pub fn trials(self) -> u64 {
+        self.fields().iter().sum()
+    }
+}
+
+impl Drop for DeltaSim<'_> {
+    fn drop(&mut self) {
+        for (total, n) in TRIAL_TOTALS.iter().zip(self.counts.get().fields()) {
+            if n > 0 {
+                total.fetch_add(n, std::sync::atomic::Ordering::Relaxed);
+            }
+        }
+    }
 }
 
 /// A cached checkpoint plus its *re-priced* remaining-work accounting.
@@ -1109,6 +1194,9 @@ struct CpEntry {
     /// *base* run — the exact future contribution a resynced trial
     /// inherits. Recomputed from the new base's spans on rebase.
     future_max: f64,
+    /// The checkpoint pin (see [`DeltaSim::pin`]), computed on first
+    /// use; cleared by `rebase`, which changes the suffix it prices.
+    pin: Option<f64>,
 }
 
 impl DeltaSim<'_> {
@@ -1165,6 +1253,7 @@ impl DeltaSim<'_> {
                 cp: cp.clone(),
                 remaining: cp.remaining,
                 future_max,
+                pin: None,
             },
         );
         cp
@@ -1202,12 +1291,15 @@ impl DeltaSim<'_> {
         let mut cache = self.sim.cache.borrow_mut();
         cache.block_ids(&self.sim.job, &self.sim.config, trial, None);
         let Some(k) = self.watermark(&cache.ids) else {
+            self.tally(|c| c.memo_hits += 1);
             return Some(self.base_time);
         };
         if let Some(&t) = cache.memo.get(&cache.ids) {
+            self.tally(|c| c.memo_hits += 1);
             return Some(t);
         }
         if self.bound(&cache, k) >= threshold {
+            self.tally(|c| c.pruned_static += 1);
             return None;
         }
         let ids = std::mem::take(&mut cache.ids);
@@ -1235,6 +1327,7 @@ impl DeltaSim<'_> {
         let bid = cache.block_id(&self.sim.job, &self.sim.config, option, elems, algo);
         let base_bid = self.base_ids[idx];
         if bid == base_bid {
+            self.tally(|c| c.memo_hits += 1);
             return Some(self.base_time);
         }
         let mut diff = [0.0f64; 4];
@@ -1256,14 +1349,25 @@ impl DeltaSim<'_> {
                 - 1e-9
         };
         if self.bound_from_diff(&diff, idx as u32).max(chain_lb) >= threshold {
+            self.tally(|c| c.pruned_static += 1);
             return None;
         }
         let mut ids = std::mem::take(&mut cache.ids);
         ids.clear();
         ids.extend_from_slice(&self.base_ids);
         ids[idx] = bid;
+        drop(cache);
+        if self.pin_prunes(idx as u32, threshold) {
+            #[cfg(debug_assertions)]
+            self.check_pin_pruned(&ids, idx as u32, threshold);
+            self.sim.cache.borrow_mut().ids = ids;
+            self.tally(|c| c.pruned_pin += 1);
+            return None;
+        }
+        let mut cache = self.sim.cache.borrow_mut();
         if let Some(&t) = cache.memo.get(&ids) {
             cache.ids = ids;
+            self.tally(|c| c.memo_hits += 1);
             return Some(t);
         }
         drop(cache);
@@ -1357,6 +1461,7 @@ impl DeltaSim<'_> {
             bound.as_mut(),
         );
         if matches!(outcome, RunOutcome::Aborted) {
+            self.tally(|c| c.aborted += 1);
             #[cfg(debug_assertions)]
             {
                 // Oracle: an aborted trial must truly be at or above the
@@ -1385,8 +1490,14 @@ impl DeltaSim<'_> {
             return None;
         }
         let makespan = match outcome {
-            RunOutcome::Resynced(m) => m,
-            _ => scratch.max_end,
+            RunOutcome::Resynced(m) => {
+                self.tally(|c| c.resynced += 1);
+                m
+            }
+            _ => {
+                self.tally(|c| c.simulated += 1);
+                scratch.max_end
+            }
         };
         #[cfg(debug_assertions)]
         {
@@ -1426,6 +1537,7 @@ impl DeltaSim<'_> {
         cache.assemble(&self.sim.job, &ids, &mut plan);
         let SimCache { scratch, .. } = &mut *cache;
         run_plan(&plan, &self.sim.config, None, scratch, Some(&cp), None, None, None);
+        self.tally(|c| c.simulated += 1);
         cache.plan = plan;
         let t = self.sim.job.model.forward_time + cache.scratch.max_end;
         cache.memo.insert(ids.clone(), t);
@@ -1442,21 +1554,35 @@ impl DeltaSim<'_> {
         let mut cache = self.sim.cache.borrow_mut();
         cache.block_ids(&self.sim.job, &self.sim.config, trial, None);
         let Some(k) = self.watermark(&cache.ids) else {
+            self.tally(|c| c.memo_hits += 1);
             return Screened::Known(self.base_time);
         };
         if let Some(&t) = cache.memo.get(&cache.ids) {
+            self.tally(|c| c.memo_hits += 1);
             return Screened::Known(t);
         }
         if self.bound(&cache, k) >= threshold {
+            self.tally(|c| c.pruned_static += 1);
             return Screened::Pruned;
         }
+        // The pin holds only for trials that differ from the base in the
+        // watermark tensor's block alone.
+        let single_swap = cache.ids[k as usize + 1..] == self.base_ids[k as usize + 1..];
         let ids = std::mem::take(&mut cache.ids);
         drop(cache);
+        if single_swap && self.pin_prunes(k, threshold) {
+            #[cfg(debug_assertions)]
+            self.check_pin_pruned(&ids, k, threshold);
+            self.sim.cache.borrow_mut().ids = ids;
+            self.tally(|c| c.pruned_pin += 1);
+            return Screened::Pruned;
+        }
         let cp = self.checkpoint(k);
         let mut cache = self.sim.cache.borrow_mut();
         let mut plan = Plan::default();
         cache.assemble(&self.sim.job, &ids, &mut plan);
         cache.ids = ids;
+        self.tally(|c| c.simulated += 1);
         Screened::Live(PreparedEval {
             plan,
             resume: Some(cp),
@@ -1517,6 +1643,120 @@ impl DeltaSim<'_> {
         self.sim.job.model.forward_time + lb - 1e-9
     }
 
+    /// The checkpoint pin at tensor `k`: the largest dependency-only
+    /// earliest finish, from the checkpoint at `k`, over every task
+    /// outside tensor `k`'s stage block — a makespan every trial that
+    /// differs from the base only in that block must reach.
+    ///
+    /// A task already started at the checkpoint finishes at its exact
+    /// span end. An unstarted task cannot start before the checkpoint
+    /// clock, before the busy-until time of its resource when that
+    /// resource has a single server, or before its predecessors finish
+    /// (none of which sit in the swapped block: the task graph has no
+    /// cross-tensor stage edges). The event loop computes `start +
+    /// duration` on values at least as large, and rounding is monotone,
+    /// so `forward_time + pin <= F(trial)` holds bit for bit with no
+    /// margin — which is what lets the pin certify a tie with the
+    /// incumbent where the margin-deflated bounds cannot.
+    ///
+    /// Computed on first use and cached on the checkpoint entry until a
+    /// rebase clears it.
+    fn pin(&self, k: u32) -> f64 {
+        if let Some(pin) = self.checkpoints.borrow().get(&k).and_then(|e| e.pin) {
+            return pin;
+        }
+        let cp = self.checkpoint(k);
+        let plan = self.base_plan.borrow();
+        let n = plan.len();
+        let c = plan.compute_idx[k as usize] as usize;
+        debug_assert_eq!(cp.prefix_end as usize, c);
+        let block_end = plan
+            .compute_idx
+            .get(k as usize + 1)
+            .map_or(n, |&v| v as usize);
+        let single_server = [true, self.sim.config.cpu_slots.max(1) == 1, true, true];
+        let started = |i: usize| i <= c && !cp.spans[i].start.is_nan();
+        let mut busy_until = [0.0f64; 4];
+        for i in (0..=c).filter(|&i| started(i)) {
+            let r = resource_idx(plan.meta[i].resource);
+            busy_until[r] = busy_until[r].max(cp.spans[i].end);
+        }
+        let mut finish = self.pin_scratch.borrow_mut();
+        finish.clear();
+        finish.resize(n, 0.0);
+        let mut pin = 0.0f64;
+        for i in (0..=c).chain(block_end..n) {
+            let f = if started(i) {
+                cp.spans[i].end
+            } else {
+                let m = &plan.meta[i];
+                let r = resource_idx(m.resource);
+                let mut start = if single_server[r] {
+                    cp.now.max(busy_until[r])
+                } else {
+                    cp.now
+                };
+                for &p in plan.preds(i) {
+                    debug_assert!(
+                        (p as usize) <= c || (p as usize) >= block_end,
+                        "a task outside the block depends on it"
+                    );
+                    start = start.max(finish[p as usize]);
+                }
+                start + m.duration
+            };
+            finish[i] = f;
+            pin = pin.max(f);
+        }
+        if let Some(entry) = self.checkpoints.borrow_mut().get_mut(&k) {
+            entry.pin = Some(pin);
+        }
+        pin
+    }
+
+    /// Whether the pin at tensor `k` certifies that a trial differing
+    /// from the base only there cannot beat `threshold`. DeltaSim never
+    /// prices a fault plan, so the nominal durations the pin reads are
+    /// the ones the trial runs with.
+    fn pin_prunes(&self, k: u32, threshold: f64) -> bool {
+        threshold.is_finite() && self.sim.job.model.forward_time + self.pin(k) >= threshold
+    }
+
+    /// The checkpoint pin at tensor `idx` as an iteration time: a lower
+    /// bound, exact to the bit, on `F` of every trial that differs from
+    /// the base only in tensor `idx`'s option.
+    pub fn pin_bound(&self, idx: usize) -> f64 {
+        self.sim.job.model.forward_time + self.pin(idx as u32)
+    }
+
+    /// Debug-build oracle: a pin-pruned trial (block ids `ids`, dirty
+    /// only at tensor `k`), re-run in full, really sits at or above both
+    /// the pin and `threshold`.
+    #[cfg(debug_assertions)]
+    fn check_pin_pruned(&self, ids: &[u32], k: u32, threshold: f64) {
+        let mut plan = Plan::default();
+        self.sim.cache.borrow().assemble(&self.sim.job, ids, &mut plan);
+        let mut check = EvalScratch::default();
+        run_plan(&plan, &self.sim.config, None, &mut check, None, None, None, None);
+        let f = self.sim.job.model.forward_time + check.max_end;
+        let pinned = self.pin_bound(k as usize);
+        debug_assert!(
+            pinned <= f && f >= threshold,
+            "pin overclaimed at tensor {k}: F={f} < pin={pinned} or threshold={threshold}"
+        );
+    }
+
+    /// The outcome counts of the trials this handle has seen.
+    pub fn counts(&self) -> TrialCounts {
+        self.counts.get()
+    }
+
+    fn tally(&self, bump: impl FnOnce(&mut TrialCounts)) {
+        let mut counts = self.counts.get();
+        bump(&mut counts);
+        self.counts.set(counts);
+    }
+
     /// Re-anchors the handle at `new_base` (whose `F` the caller already
     /// knows — typically the just-accepted trial), keeping every
     /// checkpoint at or before the first changed tensor. Greedy accept
@@ -1554,6 +1794,7 @@ impl DeltaSim<'_> {
                 {
                     *rem += new - old;
                 }
+                entry.pin = None;
             }
             drop(checkpoints);
             // Re-anchor the cached base plan. The common accept is a

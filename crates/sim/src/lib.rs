@@ -43,7 +43,7 @@ pub use audit::{audit, audit_tasks, Violation};
 pub use config::SimConfig;
 pub use engine::{
     simulate, simulate_with_faults, Checkpoint, DeltaSim, EvalScratch, PreparedEval, Screened,
-    Simulator,
+    Simulator, TrialCounts,
 };
 pub use fault::{Burst, FaultError, FaultPlan, LinkFault};
 pub use job::Job;

@@ -4,13 +4,13 @@
 //! These are the planner fast path's foundations. [`DeltaSim`] resumes
 //! trials from per-watermark checkpoints, early-exits when the trial's
 //! event-loop state resynchronizes with the base, and certifies pruning
-//! decisions with mid-run lower bounds — every one of those shortcuts
-//! must be invisible: the same task list, the same span bits, the same
-//! `F(S)`. Each incremental timeline is additionally held to the
-//! physical invariant auditor, so agreement can never be agreement on
-//! nonsense.
+//! decisions with mid-run lower bounds and checkpoint pins — every one
+//! of those shortcuts must be invisible: the same task list, the same
+//! span bits, the same `F(S)`. Each incremental timeline is additionally
+//! held to the physical invariant auditor, so agreement can never be
+//! agreement on nonsense.
 
-use espresso_cluster::Cluster;
+use espresso_cluster::{Cluster, CommPattern};
 use espresso_gc::GcAlgorithm;
 use espresso_models::{ModelKind, ModelProfile, TensorProfile};
 use espresso_sim::{audit, simulate, Job, SimConfig, SimResult, Simulator};
@@ -176,6 +176,86 @@ proptest! {
                     threshold
                 ),
             }
+        }
+    }
+}
+
+/// Candidate options drawn per tensor and round in the pin property.
+const CANDIDATES_PER_TENSOR: usize = 16;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The checkpoint pin is a margin-free lower bound: for every tensor
+    /// and every candidate option, `pin_bound(k) <= F(trial)` with no
+    /// tolerance, and every trial it prunes against the tie threshold
+    /// `F(base) - 1e-12` really sits at or above that threshold — on
+    /// single- and multi-machine jobs, with a single-server and a pooled
+    /// CPU, before and after a rebase clears the cached pins. Half the
+    /// cases start from the uncompressed strategy, where the last
+    /// tensors' communication holds the makespan and ties are common.
+    #[test]
+    fn checkpoint_pin_is_a_bitwise_lower_bound(
+        tensors in 2usize..7,
+        model_seed in 0u64..500,
+        strat_seed in 0u64..500,
+        machines in 1usize..3,
+        gpus in 1usize..4,
+        pooled_cpu in 0usize..2,
+        fp32_base in 0usize..2,
+    ) {
+        let cluster = Cluster::pcie_25g(machines, gpus);
+        let job = Job::new(random_model(tensors, model_seed), cluster, GcAlgorithm::dgc_1pct());
+        let config = SimConfig {
+            cpu_slots: [1, 4][pooled_cpu],
+            ..SimConfig::default()
+        };
+        let sim = Simulator::new(job.clone(), config);
+        let space = OptionSpace::enumerate(&cluster);
+        let all = space.all();
+        let mut rng = StdRng::seed_from_u64(strat_seed ^ 0x9147);
+
+        let mut base = if fp32_base == 1 {
+            Strategy::uncompressed(job.num_tensors(), CommPattern::Hierarchical, &cluster)
+        } else {
+            random_strategy(&job, &space, strat_seed)
+        };
+        let mut delta = sim.delta(&base);
+        for round in 0..2 {
+            let threshold = delta.base_time() - 1e-12;
+            for k in 0..job.num_tensors() {
+                let pin = delta.pin_bound(k);
+                for _ in 0..CANDIDATES_PER_TENSOR {
+                    let option = &all[rng.random_range(0..all.len())];
+                    let mut trial = base.clone();
+                    trial.set_option(k, option.clone());
+                    let truth = simulate(&job, &trial, &config).iteration_time;
+                    prop_assert!(
+                        pin <= truth,
+                        "round {}: pin {} above F(trial) {} at tensor {}",
+                        round, pin, truth, k
+                    );
+                    let before = delta.counts().pruned_pin;
+                    let verdict = delta.eval_swap(k, option, threshold);
+                    let pinned = delta.counts().pruned_pin > before;
+                    prop_assert!(!pinned || verdict.is_none());
+                    if verdict.is_none() {
+                        prop_assert!(
+                            truth >= threshold,
+                            "round {}: pruned a winner (pin: {}): F = {} < {}",
+                            round, pinned, truth, threshold
+                        );
+                    }
+                    if matches!(delta.screen(&trial, threshold), espresso_sim::Screened::Pruned) {
+                        prop_assert!(truth >= threshold, "screen pruned a winner");
+                    }
+                }
+            }
+            // Accept a random single swap, as the greedy loops do.
+            let idx = rng.random_range(0..job.num_tensors());
+            base.set_option(idx, all[rng.random_range(0..all.len())].clone());
+            let t = simulate(&job, &base, &config).iteration_time;
+            delta.rebase(&base, t);
         }
     }
 }

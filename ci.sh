@@ -86,10 +86,13 @@ step "decide" decide_gate
 # evaluation inside the fleet replan workers is exercised on every run —
 # byte-identity must hold at any thread count. The batched-replanning
 # throughput gate itself (≥3x shared-spec, ≤5% unique-spec regression)
-# runs inside the "fleet bench" step above.
+# runs inside the "fleet bench" step above. The last run repeats the
+# fleet gate with the planner memo disabled (ESPRESSO_WARM_STARTS=0), so
+# the kill -9 byte-identity holds on the cold path too.
 planner_threads_gate() {
     ESPRESSO_PLANNER_THREADS=4 ./target/release/espresso-loadgen --fleet-gate
     ESPRESSO_PLANNER_THREADS=4 ./target/release/espresso-audit decide
+    ESPRESSO_WARM_STARTS=0 ./target/release/espresso-loadgen --fleet-gate
 }
 step "planner threads (4)" planner_threads_gate
 

@@ -22,18 +22,18 @@
 //! run through the timeline invariant auditor: a fast path that agreed
 //! with a *wrong* reference would still be caught by physics.
 //!
-//! The sweep's second half ([`warm_sweep`]) holds the serving layer's
-//! cross-request warm-start cache to the same bar: every
-//! [`decide_with_warm`] answer — populating pass, replaying pass, and
-//! the health-shifted sibling whose robust selection reuses another
-//! request's nominal entry — must be byte-identical to a cold
-//! [`decide`] of the same request.
+//! The sweep's second half ([`warm_sweep`]) holds the [`Planner`]'s
+//! cross-request selection memo to the same bar: every memoized
+//! [`Planner::decide`] answer — populating pass, replaying pass, and the
+//! health-shifted sibling whose robust selection reuses another
+//! request's nominal entry — must be byte-identical to a cold [`decide`]
+//! of the same request.
 
 use espresso::config::{GcConfig, ModelConfig, SystemConfig};
 use espresso::robust::{RobustSelection, RobustSelector};
-use espresso::service::{decide, decide_with_warm, DecisionRequest};
+use espresso::service::{decide, DecisionRequest};
 use espresso::warm::WarmStartCache;
-use espresso::{Espresso, EvalPool, PlannerMode, Report};
+use espresso::{Espresso, EvalPool, Planner, PlannerMode, Report};
 use espresso_cluster::{ClusterHealth, IntraFabric};
 use espresso_gc::GcAlgorithm;
 use espresso_json::{Json, ToJson};
@@ -420,17 +420,18 @@ pub fn warm_corpus(seed: u64) -> DecisionRequest {
 /// The warm-start cross-request differential sweep.
 ///
 /// For every base request and its health-shifted sibling, the cold
-/// [`decide`] answer is the oracle; [`decide_with_warm`] must reproduce
-/// it byte for byte both on the populating pass (cache cold for that
-/// key) and the replaying pass (cache hot). One cache is shared across
+/// [`decide`] answer is the oracle; a memoized [`Planner::decide`] must
+/// reproduce it byte for byte both on the populating pass (memo cold for
+/// that key) and the replaying pass (memo hot). One memo is shared across
 /// the whole sweep — the claim under test is *cross-request* reuse:
 /// the sibling's robust selection must start from the nominal entry its
 /// base request populated, which is exactly the reuse the fleet's
 /// batched re-planning leans on when a health delta sweeps a spec group.
 pub fn warm_sweep(cases: usize) -> WarmReport {
-    // `with_enabled` pins the cache on, so `ESPRESSO_WARM_STARTS=0` in
+    // `with_enabled` pins the memo on, so `ESPRESSO_WARM_STARTS=0` in
     // the environment cannot quietly turn this audit into a no-op.
-    let warm = WarmStartCache::with_enabled(256, 4, true);
+    let planner = Planner::with_memo(WarmStartCache::with_enabled(256, 4, true));
+    let warm = planner.memo();
     let mut mismatches = Vec::new();
     for seed in 0..cases as u64 {
         let base = warm_corpus(seed);
@@ -449,7 +450,7 @@ pub fn warm_sweep(cases: usize) -> WarmReport {
                 }
             };
             for pass in ["populate", "replay"] {
-                match decide_with_warm(req, &warm) {
+                match planner.decide(req) {
                     Ok(d) => {
                         let got = Json::encode(&d.response());
                         if got != cold {

@@ -21,7 +21,10 @@
 //!   near-optimal [`Strategy`] out, with timing telemetry,
 //! * [`service`] — the [`DecisionRequest`] → [`Decision`] API shared by
 //!   `espresso-cli` and the `espresso-serve` HTTP service, so the two
-//!   front-ends cannot drift.
+//!   front-ends cannot drift,
+//! * [`planner`] — the one [`Planner`] handle that long-lived callers
+//!   (the server, the fleet, the training runtime) decide and re-plan
+//!   through, over one content-addressed selection memo ([`warm`]).
 
 pub mod baselines;
 pub mod census;
@@ -31,6 +34,7 @@ pub mod error;
 pub mod espresso;
 pub mod oracle;
 pub mod parallel;
+pub mod planner;
 pub mod robust;
 pub mod service;
 pub mod upper_bound;
@@ -43,14 +47,13 @@ pub use error::EspressoError;
 pub use espresso::{Espresso, PlannerMode, Report};
 pub use parallel::{BoundedQueue, EvalPool};
 pub use espresso_strategy::Strategy;
+pub use planner::{replan_with_context, Planner, Replan, ReplanContext};
 pub use robust::{
-    replan, replan_priority, replan_with_context, replan_with_warm, DegradationMonitor,
-    NoiseEnvelope, Replan, ReplanContext, RobustSelection,
-    RobustSelector,
+    replan_priority, DegradationMonitor, NoiseEnvelope, RobustSelection, RobustSelector,
 };
-pub use service::{decide, decide_with_warm, Decision, DecisionRequest, DecisionResponse};
+pub use service::{decide, Decision, DecisionRequest, DecisionResponse};
 pub use upper_bound::upper_bound_time;
-pub use warm::WarmStartCache;
+pub use warm::{ContentKey, WarmStartCache};
 
 /// Convenient re-exports of the crate's primary types.
 pub mod prelude {
@@ -63,12 +66,12 @@ pub mod prelude {
         espresso::{Espresso, PlannerMode, Report},
         parallel::{BoundedQueue, EvalPool},
         oracle,
+        planner::{Planner, Replan},
         robust::{
-            replan, replan_priority, DegradationMonitor, NoiseEnvelope, Replan, RobustSelection,
-            RobustSelector,
+            replan_priority, DegradationMonitor, NoiseEnvelope, RobustSelection, RobustSelector,
         },
-        service::{decide, decide_with_warm, Decision, DecisionRequest, DecisionResponse},
+        service::{decide, Decision, DecisionRequest, DecisionResponse},
         upper_bound::upper_bound_time,
-        warm::WarmStartCache,
+        warm::{ContentKey, WarmStartCache},
     };
 }

@@ -1,7 +1,7 @@
 //! Deterministic parallel candidate evaluation for the planner fast
 //! path, built on the same bounded MPMC queue that feeds the serve
 //! worker pool (the queue lives here so both the planner and
-//! `espresso-serve` share one implementation; serve re-exports it).
+//! `espresso-serve` share one implementation).
 //!
 //! [`EvalPool::run`] fans a batch of [`PreparedEval`] units out across a
 //! fixed set of worker threads and returns the results **merged by unit
@@ -135,15 +135,11 @@ impl EvalPool {
         }
     }
 
-    /// Worker count from `ESPRESSO_PLANNER_THREADS` (default 1). The
-    /// serve and fleet paths plan with this pool. Set wider, it prices
-    /// candidates in parallel and fans the robust ensemble's independent
-    /// selections out across its threads (see
-    /// [`crate::robust::RobustSelector::select_with`]). That halves a
-    /// cold robust re-plan on two cores, but on a server the extra planner
+    /// Worker count from `ESPRESSO_PLANNER_THREADS` (default 1), read
+    /// once by each serve and fleet [`crate::Planner`]. Wider halves a
+    /// cold robust re-plan on two cores, but on a server the planner
     /// threads compete with the request threads: in `decide-mix` they
-    /// raised the tail of repeated (cached) `/decide` requests several
-    /// times over, so the default stays 1.
+    /// raised the tail of repeated `/decide` requests several times over.
     pub fn from_env() -> Self {
         let workers = std::env::var("ESPRESSO_PLANNER_THREADS")
             .ok()
@@ -231,6 +227,38 @@ mod tests {
         assert_eq!(q.len(), 2);
         assert_eq!(q.pop(), Some(1));
         assert!(q.try_push(3).is_ok());
+    }
+
+    #[test]
+    fn close_drains_then_stops() {
+        let q = BoundedQueue::new(8);
+        q.try_push(1).unwrap();
+        q.try_push(2).unwrap();
+        q.close();
+        assert_eq!(q.try_push(3), Err(3), "closed queue rejects pushes");
+        assert_eq!(q.pop(), Some(1));
+        assert_eq!(q.pop(), Some(2));
+        assert_eq!(q.pop(), None);
+        assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    fn blocked_consumers_wake_on_push_and_close() {
+        let q = std::sync::Arc::new(BoundedQueue::<u32>::new(4));
+        let consumers: Vec<_> = (0..3)
+            .map(|_| {
+                let q = std::sync::Arc::clone(&q);
+                std::thread::spawn(move || q.pop())
+            })
+            .collect();
+        q.try_push(7).unwrap();
+        q.close();
+        let mut got: Vec<Option<u32>> = consumers
+            .into_iter()
+            .map(|h| h.join().unwrap())
+            .collect();
+        got.sort();
+        assert_eq!(got, vec![None, None, Some(7)]);
     }
 
     #[test]

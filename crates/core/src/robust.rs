@@ -30,7 +30,6 @@ use crate::baselines::{self, Baseline};
 use crate::error::EspressoError;
 use crate::espresso::{Espresso, PlannerMode};
 use crate::parallel::EvalPool;
-use crate::warm::WarmStartCache;
 
 /// How far the empirical model may be off, and how many perturbed
 /// scenarios to draw from that envelope.
@@ -513,187 +512,6 @@ impl DegradationMonitor {
     }
 }
 
-/// The outcome of an online re-plan (see [`replan`]).
-#[derive(Debug, Clone)]
-pub struct Replan {
-    /// The strategy to continue training with.
-    pub strategy: Strategy,
-    /// Predicted iteration time under the re-planned conditions — what a
-    /// [`DegradationMonitor`] should be rebased to.
-    pub predicted_time: f64,
-    /// Which candidate won (`"espresso"` for the nominal path, otherwise
-    /// the [`RobustSelection::chosen`] name).
-    pub chosen: String,
-    /// Whether the re-planned strategy differs from the one previously in
-    /// force.
-    pub changed: bool,
-}
-
-/// Re-selects the compression strategy online, against the cluster that
-/// currently exists: `job` must already describe the *surviving* topology
-/// (e.g. via [`espresso_cluster::Membership::effective_cluster`] mapped
-/// back to a template without health applied — health is passed here).
-///
-/// On a nominal-health cluster this is the plain Espresso decision
-/// (section 4.4) — cheap and exactly what the offline planner would have
-/// chosen for this topology. Under degraded health it runs the full
-/// [`RobustSelector`] ensemble, so the re-planned strategy is hedged
-/// against the same measurement drift that likely caused the trip.
-///
-/// `current` is the strategy in force before the event; `changed` reports
-/// whether the re-plan actually picked something different.
-///
-/// # Errors
-///
-/// As [`RobustSelector::select`].
-pub fn replan(
-    job: &Job,
-    health: &ClusterHealth,
-    current: &Strategy,
-) -> Result<Replan, EspressoError> {
-    let (strategy, predicted_time, chosen) = if health.is_nominal() {
-        let (strategy, report) = Espresso::new(job.clone()).select_strategy();
-        (strategy, report.iteration_time, "espresso".to_string())
-    } else {
-        let selection = RobustSelector::new(job.clone(), *health).select()?;
-        (selection.strategy, selection.mean_time, selection.chosen)
-    };
-    let changed = strategy != *current;
-    Ok(Replan {
-        strategy,
-        predicted_time,
-        chosen,
-        changed,
-    })
-}
-
-/// Warm state carried between online re-plans of the same training run.
-///
-/// Historically this held its own `(job, health) → Replan` table; it is
-/// now a thin single-owner wrapper over the shared
-/// [`crate::warm::WarmStartCache`], so the training runtime and the fleet
-/// layer reuse one replay mechanism (and one soundness argument — see the
-/// `warm` module docs). Fleet health commonly flaps between a small set
-/// of states (nominal ↔ one link degraded), so the table stays tiny; it
-/// is bounded anyway, evicting the oldest entry first.
-///
-/// Only the selection is replayed; `changed` is recomputed against the
-/// *current* strategy of the caller, which moves between re-plans.
-///
-/// The context also carries the pool its cold robust re-plans run on
-/// (see [`ReplanContext::with_pool`]).
-#[derive(Debug)]
-pub struct ReplanContext {
-    warm: WarmStartCache,
-    pool: EvalPool,
-}
-
-impl Default for ReplanContext {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ReplanContext {
-    /// Most distinct selections retained.
-    const CAPACITY: usize = 32;
-
-    /// An empty context (first plan will be cold) planning on
-    /// [`EvalPool::from_env`], width 1 unless `ESPRESSO_PLANNER_THREADS`
-    /// says otherwise.
-    pub fn new() -> Self {
-        Self::with_pool(EvalPool::from_env())
-    }
-
-    /// An empty context whose cold robust re-plans run on `pool`: the
-    /// ensemble's selections fan out across its threads, and so does the
-    /// pricing. The re-plans are bit-identical for any width.
-    pub fn with_pool(pool: EvalPool) -> Self {
-        Self {
-            warm: WarmStartCache::new(Self::CAPACITY, 1),
-            pool,
-        }
-    }
-}
-
-/// As [`replan`], seeded by `ctx`: a re-plan whose `(job, health)` inputs
-/// match a previously completed decision returns that decision (with
-/// `changed` recomputed against `current`) without re-running the
-/// planner. Cold results are stored back into `ctx`.
-///
-/// # Errors
-///
-/// As [`RobustSelector::select`].
-pub fn replan_with_context(
-    ctx: &mut ReplanContext,
-    job: &Job,
-    health: &ClusterHealth,
-    current: &Strategy,
-) -> Result<Replan, EspressoError> {
-    replan_warm(&ctx.warm, &ctx.pool, job, health, current)
-}
-
-/// As [`replan`], seeded by a shared [`WarmStartCache`]: the nominal or
-/// robust selection backing the re-plan is replayed from the cache on a
-/// key match and stored back after a cold plan — byte-identical either
-/// way, the planner being a pure function of the cached key's inputs.
-/// Unlike [`replan_with_context`] the cache is shared: a fleet controller
-/// passes one instance from every planner worker, so repeated and
-/// near-identical re-plans reuse work across jobs and connections.
-///
-/// # Errors
-///
-/// As [`RobustSelector::select`].
-pub fn replan_with_warm(
-    warm: &WarmStartCache,
-    job: &Job,
-    health: &ClusterHealth,
-    current: &Strategy,
-) -> Result<Replan, EspressoError> {
-    replan_warm(warm, &EvalPool::from_env(), job, health, current)
-}
-
-/// [`replan_with_warm`] with a cold robust selection on `pool`.
-fn replan_warm(
-    warm: &WarmStartCache,
-    pool: &EvalPool,
-    job: &Job,
-    health: &ClusterHealth,
-    current: &Strategy,
-) -> Result<Replan, EspressoError> {
-    let (strategy, predicted_time, chosen) = if health.is_nominal() {
-        let key = WarmStartCache::nominal_key(job);
-        match warm.get_nominal(&key) {
-            Some(sel) => (sel.0.clone(), sel.1.iteration_time, "espresso".to_string()),
-            None => {
-                let sel = Espresso::new(job.clone()).select_strategy();
-                let out = (sel.0.clone(), sel.1.iteration_time, "espresso".to_string());
-                warm.insert_nominal(key, sel);
-                out
-            }
-        }
-    } else {
-        let key = WarmStartCache::robust_key(job, health, None);
-        match warm.get_robust(&key) {
-            Some(sel) => (sel.strategy.clone(), sel.mean_time, sel.chosen.clone()),
-            None => {
-                let sel = RobustSelector::new(job.clone(), *health)
-                    .select_with(PlannerMode::from_env(), pool)?;
-                let out = (sel.strategy.clone(), sel.mean_time, sel.chosen.clone());
-                warm.insert_robust(key, sel);
-                out
-            }
-        }
-    };
-    let changed = strategy != *current;
-    Ok(Replan {
-        strategy,
-        predicted_time,
-        chosen,
-        changed,
-    })
-}
-
 /// Default urgency of re-planning `job` after a cluster event, for
 /// schedulers that must pick which re-plans to run (and which to shed)
 /// when events arrive faster than the planner can keep up.
@@ -711,6 +529,7 @@ pub fn replan_priority(job: &Job) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::planner::Planner;
     use espresso_cluster::Cluster;
     use espresso_gc::GcAlgorithm;
     use espresso_models::Model;
@@ -946,7 +765,9 @@ mod tests {
     fn replan_on_nominal_health_matches_plain_espresso() {
         let job = small_job();
         let (expected, report) = Espresso::new(job.clone()).select_strategy();
-        let r = replan(&job, &ClusterHealth::nominal(), &expected).unwrap();
+        let r = Planner::cold()
+            .replan(&job, &ClusterHealth::nominal(), &expected)
+            .unwrap();
         assert_eq!(r.strategy, expected);
         assert!(!r.changed);
         assert_eq!(r.chosen, "espresso");
@@ -959,7 +780,9 @@ mod tests {
         let current = DegradationMonitor::fallback_strategy(&job);
         // The fallback is all-FP32; any Espresso-style selection for an
         // EFSignSGD job compresses something, so the re-plan must differ.
-        let r = replan(&job, &ClusterHealth::inter_degraded(4.0), &current).unwrap();
+        let r = Planner::cold()
+            .replan(&job, &ClusterHealth::inter_degraded(4.0), &current)
+            .unwrap();
         assert!(r.predicted_time > 0.0);
         if r.strategy != current {
             assert!(r.changed);

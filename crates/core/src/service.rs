@@ -11,15 +11,14 @@
 
 use espresso_cluster::ClusterHealth;
 use espresso_json::{DecodeError, FromJson, Json, ToJson};
-use espresso_sim::{FaultPlan, Job, SimConfig, Simulator};
+use espresso_sim::{FaultPlan, Job};
 use espresso_strategy::Strategy;
 
-use crate::config::{build_job, FileConfig, GcConfig, ModelConfig, SystemConfig};
+use crate::config::{build_job, GcConfig, ModelConfig, SystemConfig};
 use crate::error::EspressoError;
-use crate::espresso::{Espresso, PlannerMode, Report};
-use crate::parallel::EvalPool;
-use crate::robust::{RobustSelection, RobustSelector};
-use crate::warm::WarmStartCache;
+use crate::espresso::Report;
+use crate::planner::Planner;
+use crate::robust::RobustSelection;
 
 /// One complete decision request: the three configuration sections of
 /// the paper's Figure 6 plus the robustness extras the CLI grew flags
@@ -94,12 +93,6 @@ impl DecisionRequest {
     }
 }
 
-impl From<FileConfig> for DecisionRequest {
-    fn from(cfg: FileConfig) -> Self {
-        Self::new(cfg.model, cfg.gc, cfg.system)
-    }
-}
-
 impl ToJson for DecisionRequest {
     fn to_json(&self) -> Json {
         Json::obj(vec![
@@ -146,117 +139,18 @@ pub struct Decision {
     pub robust: Option<RobustSelection>,
 }
 
-/// Runs one decision end to end: build the job, select the strategy,
-/// optionally replay it under faults and run the robust selector.
+/// Runs one decision end to end on a cold [`Planner`]: build the job,
+/// select the strategy, optionally replay it under faults and run the
+/// robust selector. Nothing is remembered between calls, which makes this
+/// the oracle every memoized path is held to; long-lived callers hold a
+/// [`Planner`] instead.
 ///
 /// # Errors
 ///
 /// Any [`EspressoError`] from config resolution, fault-plan parsing, or
 /// robust selection — all carrying enough context to fix the request.
 pub fn decide(req: &DecisionRequest) -> Result<Decision, EspressoError> {
-    decide_in(req, None, SimConfig::default())
-}
-
-/// As [`decide`], seeded by a shared [`WarmStartCache`]: the nominal
-/// selection and (when one runs) the robust selection are replayed from
-/// the cache on a key match and stored back after a cold plan. Everything
-/// derived from them — the fault replay, the response flattening — is
-/// computed fresh per request, so the returned [`Decision`] is
-/// byte-identical to [`decide`]'s for the same request (modulo the
-/// [`Report`] wall-clock telemetry, which is excluded from the equality
-/// contract). The `espresso-audit decide` sweep proves this bit for bit.
-///
-/// # Errors
-///
-/// As [`decide`].
-pub fn decide_with_warm(
-    req: &DecisionRequest,
-    warm: &WarmStartCache,
-) -> Result<Decision, EspressoError> {
-    decide_in(req, Some(warm), SimConfig::default())
-}
-
-/// The one decision pipeline behind [`decide`] and [`decide_with_warm`].
-/// `config` is the single simulator configuration the nominal selection,
-/// the fault replay and the robust ensemble all price with. Cache keys do
-/// not cover it, so every user of one `warm` cache must pass the same
-/// configuration.
-pub(crate) fn decide_in(
-    req: &DecisionRequest,
-    warm: Option<&WarmStartCache>,
-    config: SimConfig,
-) -> Result<Decision, EspressoError> {
-    let job = build_job(&req.model, &req.gc, &req.system, None)?;
-    let fault_plan = req
-        .faults
-        .as_deref()
-        .map(|spec| {
-            FaultPlan::parse(spec, job.cluster.total_gpus())
-                .map_err(|e| EspressoError::Fault { message: e.message })
-        })
-        .transpose()?;
-
-    let select = || Espresso::new(job.clone()).with_config(config).select_strategy();
-    let (strategy, report) = match warm {
-        None => select(),
-        Some(warm) => {
-            let key = WarmStartCache::nominal_key(&job);
-            match warm.get_nominal(&key) {
-                Some(sel) => (sel.0.clone(), sel.1.clone()),
-                None => {
-                    let sel = select();
-                    warm.insert_nominal(key, sel.clone());
-                    sel
-                }
-            }
-        }
-    };
-
-    let faulted_iteration_time = fault_plan.as_ref().map(|plan| {
-        Simulator::new(job.clone(), config).iteration_time_with_faults(&strategy, plan)
-    });
-
-    let robust = if req.robust || !req.health.is_nominal() {
-        // The ensemble's nominal candidate is the selection just made
-        // for the same job and configuration; hand it over instead of
-        // planning it again.
-        let select_robust = || {
-            let mut selector = RobustSelector::new(job.clone(), req.health).with_config(config);
-            if let Some(plan) = fault_plan.clone() {
-                selector = selector.with_faults(plan);
-            }
-            selector.select_seeded(
-                PlannerMode::from_env(),
-                &EvalPool::from_env(),
-                Some(strategy.clone()),
-            )
-        };
-        Some(match warm {
-            None => select_robust()?,
-            Some(warm) => {
-                let key = WarmStartCache::robust_key(&job, &req.health, req.faults.as_deref());
-                match warm.get_robust(&key) {
-                    Some(sel) => (*sel).clone(),
-                    None => {
-                        let sel = select_robust()?;
-                        warm.insert_robust(key, sel.clone());
-                        sel
-                    }
-                }
-            }
-        })
-    } else {
-        None
-    };
-
-    Ok(Decision {
-        job,
-        strategy,
-        report,
-        fault_plan,
-        faulted_iteration_time,
-        robust,
-    })
+    Planner::cold().decide(req)
 }
 
 /// Summary of a robust selection, flattened for the wire.
@@ -435,6 +329,8 @@ impl FromJson for DecisionResponse {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::espresso::Espresso;
+    use crate::warm::WarmStartCache;
     use espresso_cluster::IntraFabric;
     use espresso_gc::GcAlgorithm;
 
@@ -588,13 +484,14 @@ mod tests {
 
     #[test]
     fn warm_decides_match_cold_byte_for_byte() {
-        let warm = crate::warm::WarmStartCache::with_enabled(16, 2, true);
+        let planner = Planner::with_memo(WarmStartCache::with_enabled(16, 2, true));
+        let warm = planner.memo();
         let mut req = lstm_request();
         req.health = ClusterHealth::inter_degraded(2.0);
         req.faults = Some("seed=7,straggler=1.5".into());
         let cold = decide(&req).unwrap();
-        let populate = decide_with_warm(&req, &warm).unwrap();
-        let replay = decide_with_warm(&req, &warm).unwrap();
+        let populate = planner.decide(&req).unwrap();
+        let replay = planner.decide(&req).unwrap();
         assert!(warm.hits() >= 2, "the second warm decide must hit");
         let enc = |d: &Decision| Json::encode(&d.response());
         assert_eq!(enc(&populate), enc(&cold));
@@ -604,36 +501,9 @@ mod tests {
         let hits = warm.hits();
         let mut other = req.clone();
         other.health = ClusterHealth::inter_degraded(3.0);
-        let warm_other = decide_with_warm(&other, &warm).unwrap();
+        let warm_other = planner.decide(&other).unwrap();
         assert_eq!(enc(&warm_other), enc(&decide(&other).unwrap()));
         assert!(warm.hits() > hits, "nominal selection reused across healths");
-    }
-
-    #[test]
-    fn warm_and_cold_paths_price_with_one_config() {
-        // A non-default configuration that moves the fault replay: were
-        // the cold and warm paths to take their configuration from two
-        // sources, their answers would split here.
-        let config = SimConfig {
-            partition_bytes: 1e6,
-            aggregate_overhead: 50e-6,
-            ..SimConfig::default()
-        };
-        let mut req = lstm_request();
-        req.faults = Some("seed=7,straggler=1.5".into());
-        req.robust = true;
-        let cold = decide_in(&req, None, config).unwrap();
-        let warm = WarmStartCache::with_enabled(16, 2, true);
-        let populate = decide_in(&req, Some(&warm), config).unwrap();
-        let replay = decide_in(&req, Some(&warm), config).unwrap();
-        let faulted = |d: &Decision| d.faulted_iteration_time.unwrap().to_bits();
-        let default = decide_in(&req, None, SimConfig::default()).unwrap();
-        assert_ne!(faulted(&cold), faulted(&default), "the config must move the price");
-        let enc = |d: &Decision| Json::encode(&d.response());
-        for d in [&populate, &replay] {
-            assert_eq!(faulted(d), faulted(&cold));
-            assert_eq!(enc(d), enc(&cold));
-        }
     }
 
     #[test]

@@ -1,43 +1,146 @@
-//! Cross-request planner warm starts.
+//! The planner's selection memo: one content-addressed store.
 //!
-//! The planner is a pure function of its inputs: a nominal selection is
-//! determined by the [`Job`] alone, a robust selection by
-//! `(job, health, faults)`. [`WarmStartCache`] keys *completed* selection
-//! artifacts by exactly those inputs and replays them on a match —
-//! byte-identical to a cold plan by construction, at lookup cost. Where
-//! the old `ReplanContext` scoped this reuse to one training run, the
-//! cache here is `Sync` and sharded, so a fleet controller or a decision
-//! server can share one instance across every connection and worker
-//! thread.
+//! A nominal selection is a pure function of the [`Job`]; a robust one of
+//! `(job, health, faults)`. [`WarmStartCache`] keys completed selections
+//! ([`Strategy`] + [`Report`], or a [`RobustSelection`]) by exactly those
+//! inputs and replays them on a match, byte-identical to a cold plan by
+//! construction. Per-request results (fault replays, a re-plan's
+//! `changed`) are recomputed by the caller; the [`Report`]'s wall-clock
+//! fields are outside the equality contract. A [`crate::Planner`] owns
+//! the memo and fixes the one `SimConfig`, so keys do not cover it.
 //!
-//! Two properties keep the replay sound:
+//! **Key format.** A [`ContentKey`] is a canonical byte encoding plus its
+//! FNV-1a 64 fingerprint. The encoding is a kind tag; for robust keys the
+//! state of both fabrics and the fault spec text; then the job: cluster
+//! and links, algorithm, per-tensor plan, batch size, forward time and
+//! each tensor's `(elems, compute_time)`. Integers are little-endian
+//! `u64`s, floats their `to_bits` (`+0.0` and `-0.0` differ), and every
+//! variable-length part is length-prefixed, so the encoding is injective.
+//! Names and the model kind are labels no planner stage reads; leaving
+//! them out keeps a ResNet101 key near 5 KB, not 31 KB of debug text.
 //!
-//! * **Full-key comparison.** The shard is picked by a 64-bit FNV of the
-//!   key, but entries store and compare the *entire* key string — a hash
-//!   collision degrades to a miss (recompute), never to wrong bytes.
-//! * **Purity of the stored artifact.** Only selection outputs are
-//!   cached ([`Strategy`] + [`Report`], or a [`RobustSelection`]);
-//!   anything derived from per-request state (fault replay times, the
-//!   `changed` flag of a re-plan) is recomputed by the caller. The
-//!   [`Report`]'s wall-clock telemetry fields are carried as measured by
-//!   the cold plan — they are documented as excluded from the equality
-//!   contract, exactly as with the planner fast path.
+//! **Exhaustive destructuring.** The encoder names every field of `Job`,
+//! `ModelProfile`, `TensorProfile`, `Cluster`, `Link` and `ClusterHealth`
+//! (no `..`) and every variant of `GcAlgorithm` and `LinkState`: a field
+//! added later fails to compile here instead of aliasing two jobs.
 //!
-//! `ESPRESSO_WARM_STARTS=0` is the escape hatch (the
-//! `ESPRESSO_REFERENCE_PLANNER` of this layer): a cache constructed under
-//! it never stores or returns anything, so every plan is cold and the
-//! differential sweep can compare the two regimes.
+//! **Full-key verification.** A lookup hashes the fingerprint, then
+//! compares the whole encoding: a collision is a miss, never wrong bytes.
+//!
+//! `ESPRESSO_WARM_STARTS=0` disables the memo: it stores and returns
+//! nothing, so every plan is cold.
 
+use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use espresso_cluster::ClusterHealth;
+use espresso_cluster::{Cluster, ClusterHealth, Link, LinkState};
+use espresso_gc::GcAlgorithm;
 use espresso_json::fnv1a64;
+use espresso_models::{ModelProfile, TensorProfile};
 use espresso_sim::Job;
 use espresso_strategy::Strategy;
 
 use crate::espresso::Report;
 use crate::robust::RobustSelection;
+
+/// A content-addressed key: a canonical byte encoding and its FNV-1a 64
+/// fingerprint. [`Hash`] feeds the fingerprint only; equality compares
+/// the full encoding, so two keys whose fingerprints collide stay two
+/// keys. The decision server keys its body cache by the same type.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ContentKey {
+    fingerprint: u64,
+    bytes: Box<[u8]>,
+}
+
+impl Hash for ContentKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.fingerprint);
+    }
+}
+
+impl ContentKey {
+    /// The key of `bytes`, which must already be a canonical encoding.
+    pub fn from_bytes(bytes: Vec<u8>) -> Self {
+        Self {
+            fingerprint: fnv1a64(&bytes),
+            bytes: bytes.into_boxed_slice(),
+        }
+    }
+}
+
+/// The kind tags that open every memo key.
+const NOMINAL: u8 = 0;
+const ROBUST: u8 = 1;
+
+/// Appends the canonical encoding of planner inputs to a byte buffer.
+struct Encoder(Vec<u8>);
+
+impl Encoder {
+    fn u64(&mut self, v: u64) {
+        self.0.extend_from_slice(&v.to_le_bytes());
+    }
+
+    /// A variant tag and its payload word, fixed width so the encoding
+    /// stays injective.
+    fn variant(&mut self, tag: u8, word: u64) {
+        self.0.push(tag);
+        self.u64(word);
+    }
+
+    fn health(&mut self, health: &ClusterHealth) {
+        let ClusterHealth { intra, inter } = health;
+        for state in [intra, inter] {
+            match *state {
+                LinkState::Nominal => self.variant(0, 0),
+                LinkState::Degraded { factor } => self.variant(1, factor.to_bits()),
+                LinkState::Down => self.variant(2, 0),
+            }
+        }
+    }
+
+    fn algo(&mut self, algo: &GcAlgorithm) {
+        match *algo {
+            GcAlgorithm::RandomK { density } => self.variant(0, density.to_bits()),
+            GcAlgorithm::Dgc { density } => self.variant(1, density.to_bits()),
+            GcAlgorithm::EfSignSgd => self.variant(2, 0),
+            GcAlgorithm::Qsgd { levels } => self.variant(3, u64::from(levels)),
+            GcAlgorithm::TernGrad => self.variant(4, 0),
+            GcAlgorithm::Fp16 => self.variant(5, 0),
+            GcAlgorithm::Natural => self.variant(6, 0),
+        }
+    }
+
+    /// The job, cluster first: it differs between most jobs of one model.
+    fn job(&mut self, job: &Job) {
+        let Job { model, cluster, algo, tensor_algos } = job;
+        let Cluster { machines, gpus_per_machine, intra, inter, staging_shares_intra } = *cluster;
+        for word in [machines as u64, gpus_per_machine as u64, u64::from(staging_shares_intra)] {
+            self.u64(word);
+        }
+        for Link { bandwidth, alpha } in [intra, inter] {
+            self.u64(bandwidth.to_bits());
+            self.u64(alpha.to_bits());
+        }
+        self.algo(algo);
+        let plan = tensor_algos.as_deref().unwrap_or_default();
+        self.variant(u8::from(tensor_algos.is_some()), plan.len() as u64);
+        for a in plan {
+            self.algo(a);
+        }
+        // `name` and `kind` label the profile; no planner stage reads them.
+        let ModelProfile { name: _, kind: _, batch_size, forward_time, tensors } = model;
+        self.u64(*batch_size as u64);
+        self.u64(forward_time.to_bits());
+        self.u64(tensors.len() as u64);
+        for TensorProfile { name: _, elems, compute_time } in tensors {
+            self.u64(*elems as u64);
+            self.u64(compute_time.to_bits());
+        }
+    }
+}
 
 /// One cached selection artifact.
 #[derive(Debug, Clone)]
@@ -48,24 +151,28 @@ enum WarmEntry {
     Robust(Arc<RobustSelection>),
 }
 
-/// A sharded, capacity-bounded cache of completed planner selections,
-/// shared across requests and threads. See the module docs for the
-/// soundness argument.
+/// One shard: the entries, each stamped with its insertion tick for
+/// first-in-first-out eviction.
+#[derive(Debug, Default)]
+struct Shard {
+    entries: HashMap<ContentKey, (u64, WarmEntry)>,
+    tick: u64,
+}
+
+/// A sharded, capacity-bounded memo of completed planner selections,
+/// shared across requests and threads. See the module docs for the key
+/// format and the soundness argument.
 #[derive(Debug)]
 pub struct WarmStartCache {
-    shards: Vec<Mutex<Vec<(String, WarmEntry)>>>,
+    shards: Vec<Mutex<Shard>>,
     per_shard: usize,
     enabled: bool,
     hits: AtomicU64,
     misses: AtomicU64,
 }
 
-fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
 impl WarmStartCache {
-    /// A cache holding at most `capacity` selections across `shards`
+    /// A memo holding at most `capacity` selections across `shards`
     /// shards (both clamped to at least 1), enabled unless
     /// `ESPRESSO_WARM_STARTS=0` is set in the environment at construction
     /// time.
@@ -75,13 +182,13 @@ impl WarmStartCache {
     }
 
     /// As [`WarmStartCache::new`] with the enable switch pinned — the
-    /// audit layer uses this to compare warm and cold regimes in one
-    /// process regardless of the environment.
+    /// audit layer and the cold oracle use this to fix the regime
+    /// regardless of the environment.
     pub fn with_enabled(capacity: usize, shards: usize, enabled: bool) -> Self {
         let shards = shards.clamp(1, capacity.max(1));
         let per_shard = capacity.max(1).div_ceil(shards);
         Self {
-            shards: (0..shards).map(|_| Mutex::new(Vec::new())).collect(),
+            shards: (0..shards).map(|_| Mutex::default()).collect(),
             per_shard,
             enabled,
             hits: AtomicU64::new(0),
@@ -89,33 +196,38 @@ impl WarmStartCache {
         }
     }
 
-    /// Whether lookups can ever hit (false under `ESPRESSO_WARM_STARTS=0`).
-    pub fn enabled(&self) -> bool {
-        self.enabled
+    /// The key of `job`'s nominal selection.
+    pub fn nominal_key(job: &Job) -> ContentKey {
+        let mut e = Encoder(Vec::with_capacity(128 + 16 * job.model.tensors.len()));
+        e.variant(NOMINAL, 0);
+        e.job(job);
+        ContentKey::from_bytes(e.0)
     }
 
-    /// The cache key of `job`'s nominal selection.
-    pub fn nominal_key(job: &Job) -> String {
-        format!("nominal|{job:?}")
-    }
-
-    /// The cache key of the robust selection for `(job, health, faults)`.
+    /// The key of the robust selection for `(job, health, faults)`.
     /// `faults` is the *spec text* of the fault plan (seeded parsing is
     /// deterministic, so the spec determines the plan).
-    pub fn robust_key(job: &Job, health: &ClusterHealth, faults: Option<&str>) -> String {
-        format!("robust|{health:?}|{faults:?}|{job:?}")
+    pub fn robust_key(job: &Job, health: &ClusterHealth, faults: Option<&str>) -> ContentKey {
+        let spec = faults.unwrap_or_default();
+        let mut e = Encoder(Vec::with_capacity(160 + spec.len() + 16 * job.model.tensors.len()));
+        e.variant(ROBUST, 0);
+        e.health(health);
+        e.variant(u8::from(faults.is_some()), spec.len() as u64);
+        e.0.extend_from_slice(spec.as_bytes());
+        e.job(job);
+        ContentKey::from_bytes(e.0)
     }
 
-    fn shard_of(&self, key: &str) -> usize {
-        (fnv1a64(key.as_bytes()) % self.shards.len() as u64) as usize
+    fn shard(&self, key: &ContentKey) -> MutexGuard<'_, Shard> {
+        let shard = &self.shards[(key.fingerprint % self.shards.len() as u64) as usize];
+        shard.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn get(&self, key: &str) -> Option<WarmEntry> {
+    fn get(&self, key: &ContentKey) -> Option<WarmEntry> {
         if !self.enabled {
             return None;
         }
-        let shard = lock(&self.shards[self.shard_of(key)]);
-        let found = shard.iter().find(|(k, _)| k == key).map(|(_, e)| e.clone());
+        let found = self.shard(key).entries.get(key).map(|(_, e)| e.clone());
         match &found {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
             None => self.misses.fetch_add(1, Ordering::Relaxed),
@@ -123,47 +235,48 @@ impl WarmStartCache {
         found
     }
 
-    fn insert(&self, key: String, entry: WarmEntry) {
+    fn insert(&self, key: ContentKey, entry: WarmEntry) {
         if !self.enabled {
             return;
         }
-        let mut shard = lock(&self.shards[self.shard_of(&key)]);
-        if shard.iter().any(|(k, _)| *k == key) {
+        let mut shard = self.shard(&key);
+        if shard.entries.contains_key(&key) {
             return; // A racing planner stored the identical artifact.
         }
-        if shard.len() >= self.per_shard {
-            shard.remove(0); // FIFO: evict the shard's oldest entry.
+        if shard.entries.len() >= self.per_shard {
+            // FIFO: evict the shard's oldest entry. Shards are small, so
+            // a scan beats keeping a second ordered index.
+            let oldest = shard.entries.values().map(|(tick, _)| *tick).min();
+            shard.entries.retain(|_, (tick, _)| Some(*tick) != oldest);
         }
-        shard.push((key, entry));
+        shard.tick += 1;
+        let tick = shard.tick;
+        shard.entries.insert(key, (tick, entry));
     }
 
     /// The cached nominal selection under `key`, if present.
-    pub fn get_nominal(&self, key: &str) -> Option<Arc<(Strategy, Report)>> {
-        match self.get(key)? {
-            WarmEntry::Nominal(sel) => Some(sel),
-            WarmEntry::Robust(_) => None,
-        }
+    pub fn get_nominal(&self, key: &ContentKey) -> Option<Arc<(Strategy, Report)>> {
+        let WarmEntry::Nominal(sel) = self.get(key)? else { return None };
+        Some(sel)
     }
 
     /// Stores a completed nominal selection under `key`.
-    pub fn insert_nominal(&self, key: String, selection: (Strategy, Report)) {
+    pub fn insert_nominal(&self, key: ContentKey, selection: (Strategy, Report)) {
         self.insert(key, WarmEntry::Nominal(Arc::new(selection)));
     }
 
     /// The cached robust selection under `key`, if present.
-    pub fn get_robust(&self, key: &str) -> Option<Arc<RobustSelection>> {
-        match self.get(key)? {
-            WarmEntry::Robust(sel) => Some(sel),
-            WarmEntry::Nominal(_) => None,
-        }
+    pub fn get_robust(&self, key: &ContentKey) -> Option<Arc<RobustSelection>> {
+        let WarmEntry::Robust(sel) = self.get(key)? else { return None };
+        Some(sel)
     }
 
     /// Stores a completed robust selection under `key`.
-    pub fn insert_robust(&self, key: String, selection: RobustSelection) {
+    pub fn insert_robust(&self, key: ContentKey, selection: RobustSelection) {
         self.insert(key, WarmEntry::Robust(Arc::new(selection)));
     }
 
-    /// Lookups answered from the cache so far.
+    /// Lookups answered from the memo so far.
     pub fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
     }
@@ -172,24 +285,12 @@ impl WarmStartCache {
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
     }
-
-    /// Selections currently cached.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| lock(s).len()).sum()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::espresso::Espresso;
-    use espresso_cluster::Cluster;
-    use espresso_gc::GcAlgorithm;
     use espresso_models::Model;
 
     fn small_job() -> Job {
@@ -198,6 +299,17 @@ mod tests {
             Cluster::pcie_25g(2, 4),
             GcAlgorithm::EfSignSgd,
         )
+    }
+
+    fn len(cache: &WarmStartCache) -> usize {
+        cache.shards.iter().map(|s| s.lock().unwrap().entries.len()).sum()
+    }
+
+    /// A distinct nominal key per `i`: the batch size is part of the key.
+    fn key(i: usize) -> ContentKey {
+        let mut job = small_job();
+        job.model.batch_size = i;
+        WarmStartCache::nominal_key(&job)
     }
 
     #[test]
@@ -240,7 +352,7 @@ mod tests {
             }
         }
         // A nominal entry never answers a robust lookup of the same key
-        // text (and vice versa) even if the keys were to collide.
+        // (and vice versa) even if the keys were to collide.
         let cache = WarmStartCache::with_enabled(8, 1, true);
         let cold = Espresso::new(small_job()).select_strategy();
         cache.insert_nominal(degraded.clone(), cold);
@@ -248,24 +360,40 @@ mod tests {
     }
 
     #[test]
+    fn a_fingerprint_collision_is_a_miss_not_a_wrong_answer() {
+        let cache = WarmStartCache::with_enabled(8, 1, true);
+        let stored = key(1);
+        cache.insert_nominal(stored.clone(), Espresso::new(small_job()).select_strategy());
+        // Same fingerprint, different encoding: what an FNV collision
+        // between two jobs would look like.
+        let forged = ContentKey {
+            fingerprint: stored.fingerprint,
+            bytes: key(2).bytes,
+        };
+        assert_ne!(forged, stored);
+        assert!(cache.get_nominal(&forged).is_none());
+        assert!(cache.get_nominal(&stored).is_some());
+    }
+
+    #[test]
     fn capacity_bounds_hold_with_fifo_eviction() {
         let cache = WarmStartCache::with_enabled(4, 1, true);
         let cold = Espresso::new(small_job()).select_strategy();
         for i in 0..10 {
-            cache.insert_nominal(format!("k{i}"), cold.clone());
+            cache.insert_nominal(key(i), cold.clone());
         }
-        assert_eq!(cache.len(), 4);
-        assert!(cache.get_nominal("k0").is_none(), "oldest entries evicted");
-        assert!(cache.get_nominal("k9").is_some(), "newest entries kept");
+        assert_eq!(len(&cache), 4);
+        assert!(cache.get_nominal(&key(0)).is_none(), "oldest entries evicted");
+        assert!(cache.get_nominal(&key(9)).is_some(), "newest entries kept");
     }
 
     #[test]
     fn disabled_cache_never_stores_or_hits() {
         let cache = WarmStartCache::with_enabled(8, 2, false);
         let cold = Espresso::new(small_job()).select_strategy();
-        cache.insert_nominal("k".into(), cold);
-        assert!(cache.get_nominal("k").is_none());
-        assert!(cache.is_empty());
+        cache.insert_nominal(key(0), cold);
+        assert!(cache.get_nominal(&key(0)).is_none());
+        assert_eq!(len(&cache), 0);
         assert_eq!(cache.hits() + cache.misses(), 0);
     }
 }

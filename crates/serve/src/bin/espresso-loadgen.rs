@@ -935,10 +935,10 @@ fn scratch_dir(label: &str) -> Result<PathBuf, String> {
 /// the measured latency — is deterministic), registers `jobs` jobs whose
 /// ids round-robin across `groups` identical-spec groups on one cluster,
 /// plans them, then invalidates the whole fleet with a single epoch-bump
-/// delta and re-plans. The rendered-body plan cache is sized *below* the
-/// group count on purpose: with groups interleaved in pop order it never
-/// hits, so the probe measures planner-run amortization — the thing
-/// batching changes — rather than body-cache hits.
+/// delta and re-plans. The planner's selection memo is sized *below*
+/// the group count on purpose: with groups interleaved in pop order it
+/// rarely hits, so the probe measures planner-run amortization — the
+/// thing batching changes — rather than memo hits.
 ///
 /// Returns `(delta→decision p50 ms, mean batch size)` as the
 /// controller's own metrics report them.

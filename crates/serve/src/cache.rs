@@ -1,14 +1,21 @@
 //! A sharded LRU cache for decision responses.
 //!
 //! Decisions are pure functions of the request, so the service caches the
-//! *rendered response body* keyed by a 64-bit FNV-1a hash of the request's
-//! canonical JSON (see `DecisionRequest::canonical_key` — key order and
-//! omitted defaults never split a cache line, while any semantic change,
-//! including a different `ClusterHealth`, lands on a different key). The
-//! cache is split into independently locked shards so concurrent workers
-//! rarely contend; eviction within a shard is exact least-recently-used.
+//! *rendered response body* keyed by the request's canonical JSON (see
+//! `DecisionRequest::canonical_key` — key order and omitted defaults never
+//! split a cache line, while any semantic change, including a different
+//! `ClusterHealth`, lands on a different key). The server's key is an
+//! [`espresso::ContentKey`] over that text: lookups hash its FNV-1a 64
+//! fingerprint and then compare the full text, so two requests whose
+//! texts collide under FNV — which a client can arrange on purpose — are
+//! two entries, never each other's answer. The cache is split into
+//! independently locked shards so concurrent workers rarely contend;
+//! eviction within a shard is exact least-recently-used.
 
+use std::borrow::Borrow;
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
+use std::hash::{BuildHasher, BuildHasherDefault, Hash};
 use std::sync::{Arc, Mutex};
 
 /// 64-bit FNV-1a: a stable, dependency-free hash for cache keys. Unlike
@@ -48,51 +55,52 @@ struct Entry {
     last_used: u64,
 }
 
-#[derive(Default)]
-struct Shard {
-    entries: HashMap<u64, Entry>,
+struct Shard<K> {
+    entries: HashMap<K, Entry>,
     tick: u64,
     hits: u64,
     misses: u64,
     evictions: u64,
 }
 
-/// The sharded LRU cache.
-pub struct ShardedLru {
-    shards: Vec<Mutex<Shard>>,
+/// The sharded LRU cache. Entries are found by `K`'s hash and confirmed
+/// by `K`'s equality, so a key type that hashes a digest but compares the
+/// full text (as the server's does) turns a digest collision into a miss.
+pub struct ShardedLru<K = u64> {
+    shards: Vec<Mutex<Shard<K>>>,
     per_shard_capacity: usize,
 }
 
-impl ShardedLru {
+impl<K: Hash + Eq + Clone> ShardedLru<K> {
     /// A cache holding about `capacity` entries across `shards` shards
     /// (both clamped to at least 1).
     pub fn new(capacity: usize, shards: usize) -> Self {
         let shards = shards.max(1);
         let per_shard_capacity = (capacity.max(1)).div_ceil(shards);
-        Self {
-            shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
-            per_shard_capacity,
-        }
+        let shard = || Shard { entries: HashMap::new(), tick: 0, hits: 0, misses: 0, evictions: 0 };
+        let shards = (0..shards).map(|_| Mutex::new(shard())).collect();
+        Self { shards, per_shard_capacity }
     }
 
-    /// Which shard a key lives in.
-    pub fn shard_of(&self, key: u64) -> usize {
-        // The multiplicative mix spreads keys whose low bits correlate
-        // (FNV's avalanche on short inputs is imperfect).
-        (key.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32) as usize % self.shards.len()
+    /// Which shard a key lives in: a fixed-seed SipHash of the key, so
+    /// keys whose digests' low bits correlate still spread.
+    pub fn shard_of(&self, key: &K) -> usize {
+        let hash = BuildHasherDefault::<DefaultHasher>::default().hash_one(key);
+        (hash % self.shards.len() as u64) as usize
     }
 
-    fn shard(&self, key: u64) -> std::sync::MutexGuard<'_, Shard> {
+    fn shard(&self, key: &K) -> std::sync::MutexGuard<'_, Shard<K>> {
         let idx = self.shard_of(key);
         self.shards[idx].lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Looks up `key`, bumping its recency on a hit.
-    pub fn get(&self, key: u64) -> Option<Arc<Vec<u8>>> {
+    pub fn get(&self, key: impl Borrow<K>) -> Option<Arc<Vec<u8>>> {
+        let key = key.borrow();
         let mut shard = self.shard(key);
         shard.tick += 1;
         let tick = shard.tick;
-        match shard.entries.get_mut(&key) {
+        match shard.entries.get_mut(key) {
             Some(entry) => {
                 entry.last_used = tick;
                 let value = Arc::clone(&entry.value);
@@ -108,9 +116,9 @@ impl ShardedLru {
 
     /// Inserts (or refreshes) `key`, evicting the shard's least recently
     /// used entry if it is full.
-    pub fn insert(&self, key: u64, value: Arc<Vec<u8>>) {
+    pub fn insert(&self, key: K, value: Arc<Vec<u8>>) {
         let capacity = self.per_shard_capacity;
-        let mut shard = self.shard(key);
+        let mut shard = self.shard(&key);
         shard.tick += 1;
         let tick = shard.tick;
         if let Some(entry) = shard.entries.get_mut(&key) {
@@ -122,11 +130,11 @@ impl ShardedLru {
             // Exact LRU via a full scan: shards are small (capacity /
             // shard count), so this stays cheap and needs no intrusive
             // list.
-            if let Some(&lru) = shard
+            if let Some(lru) = shard
                 .entries
                 .iter()
                 .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k)
+                .map(|(k, _)| k.clone())
             {
                 shard.entries.remove(&lru);
                 shard.evictions += 1;
@@ -166,7 +174,7 @@ mod tests {
     #[test]
     fn eviction_follows_recency_order() {
         // Single shard so the whole capacity is one LRU domain.
-        let cache = ShardedLru::new(3, 1);
+        let cache: ShardedLru = ShardedLru::new(3, 1);
         cache.insert(1, val("a"));
         cache.insert(2, val("b"));
         cache.insert(3, val("c"));
@@ -186,7 +194,7 @@ mod tests {
 
     #[test]
     fn reinserting_refreshes_instead_of_evicting() {
-        let cache = ShardedLru::new(2, 1);
+        let cache: ShardedLru = ShardedLru::new(2, 1);
         cache.insert(1, val("a"));
         cache.insert(2, val("b"));
         cache.insert(1, val("a2"));
@@ -197,7 +205,7 @@ mod tests {
 
     #[test]
     fn hit_and_miss_accounting() {
-        let cache = ShardedLru::new(8, 2);
+        let cache: ShardedLru = ShardedLru::new(8, 2);
         assert!(cache.get(7).is_none());
         cache.insert(7, val("x"));
         assert!(cache.get(7).is_some());
@@ -211,16 +219,45 @@ mod tests {
 
     #[test]
     fn keys_spread_across_shards() {
-        let cache = ShardedLru::new(1024, 8);
+        let cache: ShardedLru = ShardedLru::new(1024, 8);
         let mut per_shard = [0usize; 8];
         for i in 0..1000 {
             let key = fnv1a64(format!("request-{i}").as_bytes());
-            per_shard[cache.shard_of(key)] += 1;
+            per_shard[cache.shard_of(&key)] += 1;
         }
         for (i, count) in per_shard.iter().enumerate() {
             assert!(*count > 0, "shard {i} never used");
             assert!(*count < 500, "shard {i} got {count} of 1000 keys");
         }
+    }
+
+    /// Two distinct request texts forced onto one hash: the second must
+    /// miss rather than be served the first one's body.
+    #[test]
+    fn a_hash_collision_is_a_miss_not_a_cross_served_body() {
+        use std::hash::Hasher;
+        #[derive(Clone, PartialEq, Eq)]
+        struct Forced(&'static str);
+        impl Hash for Forced {
+            fn hash<H: Hasher>(&self, state: &mut H) {
+                state.write_u64(0xdead_beef);
+            }
+        }
+        let cache = ShardedLru::new(8, 2);
+        cache.insert(Forced("request a"), val("a"));
+        assert!(cache.get(Forced("request b")).is_none());
+        cache.insert(Forced("request b"), val("b"));
+        assert_eq!(&*cache.get(Forced("request a")).unwrap(), b"a");
+        assert_eq!(&*cache.get(Forced("request b")).unwrap(), b"b");
+        assert_eq!(cache.stats().entries, 2);
+
+        // The server's key type behaves the same way: its hash is the
+        // text's FNV-1a fingerprint, its equality the whole text.
+        let cache = ShardedLru::new(8, 2);
+        let a = espresso::ContentKey::from_bytes(b"request a".to_vec());
+        cache.insert(a.clone(), val("a"));
+        assert!(cache.get(espresso::ContentKey::from_bytes(b"request b".to_vec())).is_none());
+        assert_eq!(&*cache.get(&a).unwrap(), b"a");
     }
 
     #[test]

@@ -44,13 +44,12 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use espresso::service::{decide_with_warm, DecisionRequest};
-use espresso::warm::WarmStartCache;
-use espresso::EspressoError;
+use espresso::service::DecisionRequest;
+use espresso::{EspressoError, Planner, WarmStartCache};
 use espresso_cluster::{ClusterHealth, Membership};
 use espresso_json::{enums, DecodeError, FromJson, Json, ToJson};
 
-use crate::cache::{fnv1a64, ShardedLru};
+use crate::cache::fnv1a64;
 use crate::client::ConnectionPool;
 use crate::journal::{Generation, Journal, SnapshotStore};
 use crate::metrics::Histogram;
@@ -73,7 +72,7 @@ pub struct FleetConfig {
     pub queue_watermark: usize,
     /// Journal records between snapshots.
     pub snapshot_every: u64,
-    /// Planner-result cache (keyed by canonical request + health).
+    /// Capacity of the planner's selection memo, in selections.
     pub plan_cache_entries: usize,
     /// Group queued re-plans by canonical `(spec, effective-health)` key
     /// and run `decide()` once per group, fanning the epoch-stamped body
@@ -511,12 +510,10 @@ struct FleetInner {
     shards: Vec<Mutex<HashMap<String, JobEntry>>>,
     queue: Mutex<ReplanState>,
     queue_cond: Condvar,
-    plan_cache: ShardedLru,
-    /// Cross-request planner warm starts, shared by every planner worker
-    /// (see `espresso::warm`). Orthogonal to `plan_cache`: the LRU stores
-    /// rendered bodies per full request, the warm cache stores selection
-    /// artifacts reusable across healths and near-identical requests.
-    warm: WarmStartCache,
+    /// The planner every planner worker decides through. Its memo holds
+    /// selection artifacts, reusable across healths and near-identical
+    /// requests (see `espresso::warm`).
+    planner: Planner,
     /// Keep-alive connections for decision pushes and dead-letter
     /// re-pushes, pooled per subscriber endpoint.
     push_pool: ConnectionPool,
@@ -610,8 +607,7 @@ impl FleetController {
         }
 
         let inner = Arc::new(FleetInner {
-            plan_cache: ShardedLru::new(config.plan_cache_entries.max(2), 4),
-            warm: WarmStartCache::new(config.plan_cache_entries.max(2), 4),
+            planner: Planner::with_memo(WarmStartCache::new(config.plan_cache_entries.max(2), 4)),
             push_pool: ConnectionPool::new(2),
             control: Mutex::new(Control {
                 journal,
@@ -1040,8 +1036,8 @@ impl FleetController {
                 "fleet_push_conn_opened".into(),
                 inner.push_pool.opens() as f64,
             ),
-            ("fleet_warm_hits".into(), inner.warm.hits() as f64),
-            ("fleet_warm_misses".into(), inner.warm.misses() as f64),
+            ("fleet_warm_hits".into(), inner.planner.memo().hits() as f64),
+            ("fleet_warm_misses".into(), inner.planner.memo().misses() as f64),
         ]
     }
 
@@ -1233,31 +1229,13 @@ impl FleetInner {
         let Some(request) = exemplar else {
             return;
         };
-        let key = fnv1a64(request.canonical_key().as_bytes());
-        let body = if let Some(cached) = self.plan_cache.get(key) {
-            String::from_utf8(cached.as_ref().clone()).unwrap_or_default()
-        } else {
-            match decide_with_warm(&request, &self.warm) {
-                Ok(decision) => {
-                    let body = Json::encode(&decision.response());
-                    self.plan_cache
-                        .insert(key, Arc::new(body.clone().into_bytes()));
-                    body
-                }
-                Err(_) => {
-                    self.stats
-                        .replan_errors
-                        .fetch_add(members.len() as u64, Ordering::Relaxed);
-                    return;
-                }
-            }
-        };
-        if body.is_empty() {
+        let Ok(decision) = self.planner.decide(&request) else {
             self.stats
                 .replan_errors
                 .fetch_add(members.len() as u64, Ordering::Relaxed);
             return;
-        }
+        };
+        let body = Json::encode(&decision.response());
         let epoch = batch.basis.epoch;
         for (job_id, observed, notify) in &members {
             if self.commit_decision(job_id, epoch, &body).is_err() {

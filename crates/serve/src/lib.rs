@@ -11,12 +11,11 @@
 //!   graceful shutdown,
 //! * [`http`] — a defensive request parser: arbitrary bytes either parse,
 //!   are incomplete, or map to a definite 4xx/5xx — never a panic,
-//! * [`cache`] — a sharded LRU over canonical-request hashes; identical
+//! * [`cache`] — a sharded LRU over canonical request texts; identical
 //!   requests (whatever their JSON key order) are answered bit-identically
 //!   without re-running the algorithms,
 //! * [`metrics`] — counters and log-bucketed latency histograms behind
 //!   `/metrics`,
-//! * [`pool`] — the bounded MPMC queue under the worker pool,
 //! * [`client`] — a tiny blocking HTTP client used by the load generator,
 //!   the smoke tests, and embedders who want one.
 //!
@@ -35,7 +34,6 @@ pub mod fleet;
 pub mod http;
 pub mod journal;
 pub mod metrics;
-pub mod pool;
 pub mod retry;
 pub mod server;
 pub mod signal;

@@ -15,7 +15,7 @@
 //! * `POST /decide` — body is a [`DecisionRequest`] JSON document (the
 //!   `--config` file format plus optional `health`/`faults`/`robust`);
 //!   answers the [`espresso::DecisionResponse`] JSON. Decisions are
-//!   cached by canonical request hash — a repeated identical request is
+//!   cached by canonical request text — a repeated identical request is
 //!   answered bit-identically from cache without re-running the
 //!   algorithms.
 //! * `GET /metrics` — flat JSON counters + latency percentiles.
@@ -28,16 +28,14 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use espresso::service::{decide_with_warm, DecisionRequest};
-use espresso::warm::WarmStartCache;
-use espresso::EspressoError;
+use espresso::service::DecisionRequest;
+use espresso::{BoundedQueue, ContentKey, EspressoError, Planner, WarmStartCache};
 use espresso_json::{Json, ToJson};
 
-use crate::cache::{fnv1a64, ShardedLru};
+use crate::cache::ShardedLru;
 use crate::fleet::{FleetController, FleetError, HealthDelta, JobSpec};
 use crate::http::{parse_request, status_text, write_response, HttpError, Limits, Parsed, Request};
 use crate::metrics::Metrics;
-use crate::pool::BoundedQueue;
 
 use espresso_json::FromJson;
 
@@ -86,12 +84,13 @@ impl Default for ServeConfig {
 struct Shared {
     shutdown: AtomicBool,
     queue: BoundedQueue<Conn>,
-    cache: ShardedLru,
-    /// Selection-artifact cache shared across requests: where the body
-    /// cache only hits on byte-identical requests, warm starts reuse the
-    /// expensive planner work across requests that differ only in health
-    /// (see [`espresso::warm`]). `ESPRESSO_WARM_STARTS=0` disables it.
-    warm: WarmStartCache,
+    cache: ShardedLru<ContentKey>,
+    /// The planner and its selection memo, shared across requests: where
+    /// the body cache only hits on identical requests, the memo reuses
+    /// the expensive planner work across requests that differ only in
+    /// health (see [`espresso::warm`]). `ESPRESSO_WARM_STARTS=0`
+    /// disables the memo.
+    planner: Planner,
     metrics: Metrics,
     deadline: Duration,
     limits: Limits,
@@ -133,7 +132,10 @@ impl Server {
             shutdown: AtomicBool::new(false),
             queue: BoundedQueue::new(config.queue_depth),
             cache: ShardedLru::new(config.cache_entries, config.cache_shards),
-            warm: WarmStartCache::new(config.cache_entries.max(2), config.cache_shards.max(1)),
+            planner: Planner::with_memo(WarmStartCache::new(
+                config.cache_entries.max(2),
+                config.cache_shards.max(1),
+            )),
             metrics: Metrics::new(),
             deadline: config.deadline,
             limits: config.limits,
@@ -393,8 +395,8 @@ fn route(shared: &Shared, request: &Request, deadline: Instant) -> Response {
 
 fn render_metrics(shared: &Shared) -> String {
     let mut extra = vec![
-        ("warm_start_hits".to_string(), shared.warm.hits() as f64),
-        ("warm_start_misses".to_string(), shared.warm.misses() as f64),
+        ("warm_start_hits".to_string(), shared.planner.memo().hits() as f64),
+        ("warm_start_misses".to_string(), shared.planner.memo().misses() as f64),
     ];
     if let Some(fleet) = &shared.fleet {
         extra.extend(fleet.metric_entries());
@@ -577,7 +579,7 @@ fn decide_route(shared: &Shared, request: &Request, deadline: Instant) -> Respon
         Ok(req) => req,
         Err(e) => return espresso_error_response(&e),
     };
-    let key = fnv1a64(decision_request.canonical_key().as_bytes());
+    let key = ContentKey::from_bytes(decision_request.canonical_key().into_bytes());
     // `Cache-Control: no-cache` forces recomputation — the audit layer's
     // lever for proving cached and computed answers are byte-identical.
     // The fresh result still replaces the cache entry.
@@ -586,11 +588,11 @@ fn decide_route(shared: &Shared, request: &Request, deadline: Instant) -> Respon
         .is_some_and(|v| v.to_ascii_lowercase().contains("no-cache"));
     if bypass {
         shared.metrics.cache_bypass.fetch_add(1, Ordering::Relaxed);
-    } else if let Some(cached) = shared.cache.get(key) {
+    } else if let Some(cached) = shared.cache.get(&key) {
         return (200, "application/json", cached.as_ref().clone());
     }
     let t0 = Instant::now();
-    match decide_with_warm(&decision_request, &shared.warm) {
+    match shared.planner.decide(&decision_request) {
         Ok(decision) => {
             shared
                 .metrics

@@ -37,10 +37,7 @@
 //!   checkpoint, bit-identically to an uninterrupted run.
 
 use espresso::robust::MonitorVerdict;
-use espresso::{
-    replan_with_context, DegradationMonitor, Espresso, EspressoError, EvalPool, ReplanContext,
-    Strategy,
-};
+use espresso::{DegradationMonitor, EspressoError, EvalPool, Planner, Strategy};
 use espresso_adapt::RatioController;
 use espresso_cluster::{ClusterError, ClusterHealth, Membership};
 use espresso_gc::GcAlgorithm;
@@ -453,28 +450,22 @@ impl TrainingRuntime {
                 ))
             };
         let pristine = membership.lost().is_empty() && membership.health().is_nominal();
-        // Warm planner state for the run's online re-plans: repeated
-        // `(job, health)` inputs (health flaps, revisited ratio plans)
-        // replay their completed decision byte-identically instead of
-        // re-running the planner. Rebuilt empty on resume — the warm
-        // path returns the same bytes a cold plan would, so crash/resume
+        // The run's planner: its memo replays repeated `(job, health)`
+        // inputs (health flaps, revisited ratio plans) byte-identically
+        // instead of re-running the planner, and a degraded re-plan finds
+        // its nominal candidate there. Rebuilt empty on resume — a memo
+        // hit returns the same bytes a cold plan would, so crash/resume
         // determinism is unaffected.
-        let mut replan_ctx = ReplanContext::with_pool(EvalPool::new(cfg.threads));
+        let planner = Planner::new().with_pool(EvalPool::new(cfg.threads));
+        let fallback = DegradationMonitor::fallback_strategy(&cfg.job);
         let mut current: Strategy = if fallback_active {
-            DegradationMonitor::fallback_strategy(&cfg.job)
+            fallback
         } else if pristine {
-            Espresso::new(with_plan(cfg.job.clone(), controller.as_ref()))
-                .select_strategy()
-                .0
+            let job = with_plan(cfg.job.clone(), controller.as_ref());
+            planner.replan(&job, &ClusterHealth::nominal(), &fallback)?.strategy
         } else {
             let job = plan_job(&membership, controller.as_ref())?;
-            replan_with_context(
-                &mut replan_ctx,
-                &job,
-                membership.health(),
-                &DegradationMonitor::fallback_strategy(&cfg.job),
-            )?
-            .strategy
+            planner.replan(&job, membership.health(), &fallback)?.strategy
         };
         // Predicted iteration time of `current` on the current effective
         // cluster — the deterministic "wall clock" of the modeled run.
@@ -552,7 +543,7 @@ impl TrainingRuntime {
                     fallback_active = false;
                     trainer.set_mode(cfg.mode);
                     let job = plan_job(&membership, controller.as_ref())?;
-                    let r = replan_with_context(&mut replan_ctx, &job, membership.health(), &current)?;
+                    let r = planner.replan(&job, membership.health(), &current)?;
                     events.push(RuntimeEvent::FallbackRecovered { step });
                     if r.changed {
                         current = r.strategy;
@@ -568,7 +559,7 @@ impl TrainingRuntime {
                     monitor.rebase(predicted);
                 } else {
                     let job = plan_job(&membership, controller.as_ref())?;
-                    let r = replan_with_context(&mut replan_ctx, &job, membership.health(), &current)?;
+                    let r = planner.replan(&job, membership.health(), &current)?;
                     events.push(RuntimeEvent::Replanned {
                         step,
                         chosen: r.chosen.clone(),
@@ -620,7 +611,7 @@ impl TrainingRuntime {
                             fallback_active = false;
                             trainer.set_mode(cfg.mode);
                             let job = plan_job(&membership, controller.as_ref())?;
-                            let r = replan_with_context(&mut replan_ctx, &job, membership.health(), &current)?;
+                            let r = planner.replan(&job, membership.health(), &current)?;
                             events.push(RuntimeEvent::FallbackRecovered { step });
                             if r.changed {
                                 current = r.strategy;
@@ -642,7 +633,7 @@ impl TrainingRuntime {
                         // the fallback instead of thrashing.
                         redecide_attempted = true;
                         let job = plan_job(&membership, controller.as_ref())?;
-                        let r = replan_with_context(&mut replan_ctx, &job, membership.health(), &current)?;
+                        let r = planner.replan(&job, membership.health(), &current)?;
                         events.push(RuntimeEvent::Replanned {
                             step,
                             chosen: r.chosen.clone(),
@@ -693,7 +684,7 @@ impl TrainingRuntime {
             };
             if adapted {
                 let job = plan_job(&membership, controller.as_ref())?;
-                let r = replan_with_context(&mut replan_ctx, &job, membership.health(), &current)?;
+                let r = planner.replan(&job, membership.health(), &current)?;
                 events.push(RuntimeEvent::Replanned {
                     step,
                     chosen: r.chosen.clone(),

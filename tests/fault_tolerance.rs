@@ -402,16 +402,17 @@ fn generated_churn_plan_resumes_bitwise() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// Warm-started re-plans must be byte-identical to cold plans. The
-/// runtime keeps a `ReplanContext` keyed by `(job, health)`; when fleet
-/// health flaps back to a state it has already planned for, the stored
-/// decision is replayed. This pins the replay to the cold path: same
-/// strategy, same predicted time (to the bit), same winning candidate —
-/// only `changed` is recomputed against the caller's current strategy.
+/// Memoized re-plans must be byte-identical to cold plans. The runtime
+/// re-plans through one `Planner` whose memo is keyed by `(job, health)`;
+/// when fleet health flaps back to a state it has already planned for,
+/// the stored selection is replayed. This pins the replay to a cold
+/// planner (memo disabled): same strategy, same predicted time (to the
+/// bit), same winning candidate — only `changed` is recomputed against
+/// the caller's current strategy.
 #[test]
 fn warm_replan_after_health_delta_equals_cold_plan() {
     use espresso_repro::cluster::ClusterHealth;
-    use espresso_repro::espresso::{replan, replan_with_context, Espresso, ReplanContext};
+    use espresso_repro::espresso::{Espresso, Planner};
 
     let job = Job::new(
         Model::Lstm.profile(),
@@ -422,14 +423,15 @@ fn warm_replan_after_health_delta_equals_cold_plan() {
     let nominal = ClusterHealth::nominal();
     let degraded = ClusterHealth::inter_degraded(2.5);
 
-    let mut ctx = ReplanContext::new();
+    let planner = Planner::new();
+    let oracle = Planner::cold();
     // First sight of each health state plans cold and stores.
-    let cold_nom = replan_with_context(&mut ctx, &job, &nominal, &current).unwrap();
-    let cold_deg = replan_with_context(&mut ctx, &job, &degraded, &cold_nom.strategy).unwrap();
+    let cold_nom = planner.replan(&job, &nominal, &current).unwrap();
+    let cold_deg = planner.replan(&job, &degraded, &cold_nom.strategy).unwrap();
     // Health flaps back: both replays must equal fresh cold plans.
     for (health, current) in [(&nominal, &cold_deg.strategy), (&degraded, &cold_nom.strategy)] {
-        let warm = replan_with_context(&mut ctx, &job, health, current).unwrap();
-        let cold = replan(&job, health, current).unwrap();
+        let warm = planner.replan(&job, health, current).unwrap();
+        let cold = oracle.replan(&job, health, current).unwrap();
         assert_eq!(warm.strategy, cold.strategy, "warm strategy diverged");
         assert_eq!(
             warm.predicted_time.to_bits(),
@@ -441,6 +443,36 @@ fn warm_replan_after_health_delta_equals_cold_plan() {
         assert_eq!(warm.chosen, cold.chosen, "warm winner diverged");
         assert_eq!(warm.changed, cold.changed, "changed flag diverged");
     }
+}
+
+/// A run's first plan seeds its later degraded re-plan: the robust
+/// ensemble takes its nominal candidate from the memo (one nominal hit)
+/// and the result still equals a cold planner's, bit for bit.
+#[test]
+fn degraded_replan_reuses_the_runs_nominal_plan() {
+    use espresso_repro::cluster::ClusterHealth;
+    use espresso_repro::espresso::{DegradationMonitor, Planner, WarmStartCache};
+
+    let job = Job::new(
+        Model::Lstm.profile(),
+        Cluster::pcie_25g(2, 4),
+        GcAlgorithm::EfSignSgd,
+    );
+    let planner = Planner::with_memo(WarmStartCache::with_enabled(32, 1, true));
+    let first = planner
+        .replan(&job, &ClusterHealth::nominal(), &DegradationMonitor::fallback_strategy(&job))
+        .unwrap();
+    assert_eq!((planner.memo().hits(), planner.memo().misses()), (0, 1));
+
+    let degraded = ClusterHealth::inter_degraded(2.0);
+    let warm = planner.replan(&job, &degraded, &first.strategy).unwrap();
+    // The robust lookup misses; the nominal lookup behind it hits.
+    assert_eq!((planner.memo().hits(), planner.memo().misses()), (1, 2));
+    let cold = Planner::cold().replan(&job, &degraded, &first.strategy).unwrap();
+    assert_eq!(warm.strategy, cold.strategy);
+    assert_eq!(warm.predicted_time.to_bits(), cold.predicted_time.to_bits());
+    assert_eq!(warm.chosen, cold.chosen);
+    assert_eq!(warm.changed, cold.changed);
 }
 
 /// The same guarantee end-to-end: a degradation re-plans cold at step

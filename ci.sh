@@ -118,6 +118,33 @@ recover() {
         exit 1
     fi
     echo "recover: crash at 70, resume from checkpoint 40, fingerprints match"
+
+    # The same crash with two generations on disk (60 current, 40
+    # previous) and one byte of the current file's tensor section
+    # substituted: the resume must reject the damaged file, fall back to
+    # generation 40, and still reach the uninterrupted fingerprints.
+    ckpt_dir=$(mktemp -d)
+    ./target/release/espresso-cli train --steps 120 --checkpoint-every 20 \
+        --halt-at 70 --checkpoint-dir "$ckpt_dir" --faults "$faults" > /dev/null
+    file="$ckpt_dir/checkpoint.json"
+    header=$(head -n 1 "$file")
+    meta=$(echo "$header" | sed -n 's/.* meta=\([0-9]*\) .*/\1/p')
+    at=$(( ${#header} + 1 + meta + 101 ))
+    old=$(od -An -tu1 -j "$at" -N 1 "$file" | tr -d ' ')
+    # shellcheck disable=SC2059
+    printf "$(printf '\\%03o' $(( (old + 1) % 256 )))" \
+        | dd of="$file" bs=1 seek="$at" conv=notrunc 2> /dev/null
+    out=$(./target/release/espresso-cli train --steps 120 \
+        --checkpoint-dir "$ckpt_dir" --resume --faults "$faults")
+    rm -rf "$ckpt_dir"
+    resumed=$(echo "$out" | grep -E "^(weights|state) fingerprint:")
+    if ! echo "$out" | grep -qE "^ *\[ *40\] resumed from checkpoint" \
+        || [ "$resumed" != "$fresh" ]; then
+        echo "recover: a damaged current checkpoint did not fall back to 40" >&2
+        echo "$out" >&2
+        exit 1
+    fi
+    echo "recover: byte $at of generation 60 damaged, fell back to 40, fingerprints match"
 }
 step "recover" recover
 

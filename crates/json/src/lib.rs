@@ -17,6 +17,9 @@
 
 use std::fmt;
 
+mod lane64;
+pub use lane64::{lane64, Lane64};
+
 /// 64-bit FNV-1a: a stable, dependency-free hash for canonical JSON
 /// bytes. Unlike `DefaultHasher` it is identical across processes and
 /// releases, so hashes can be logged, compared, persisted (checkpoint

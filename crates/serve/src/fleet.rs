@@ -269,36 +269,53 @@ struct JobEntry {
     spec: JobSpec,
     priority: u64,
     decision: Option<Committed>,
-    /// Derived, never serialized: the spec-group fingerprint (see
-    /// [`spec_fingerprint`]), recomputed wherever an entry is built.
-    spec_fp: u64,
+    /// Derived, never serialized: the spec group (see [`SpecGroup`]),
+    /// recomputed wherever an entry is built.
+    spec_group: SpecGroup,
 }
 
 impl JobEntry {
     fn new(spec: JobSpec, priority: u64, decision: Option<Committed>) -> Self {
-        let spec_fp = spec_fingerprint(&spec.request);
+        let spec_group = SpecGroup::of(&spec.request);
         Self {
             spec,
             priority,
             decision,
-            spec_fp,
+            spec_group,
         }
     }
 }
 
-/// The spec-group fingerprint: a 64-bit FNV of the job's request in
-/// canonical JSON with its `health` section normalized to nominal. The
-/// canonical re-encoding makes reordered or defaulted-but-equal specs
-/// collide into one group; the health normalization reflects that plan
-/// time overwrites `request.health` with the bound cluster's state, so
-/// whatever health the registration happened to carry is not part of the
-/// question being planned. Everything semantic — model, GC algorithm,
-/// per-tensor ratio plans, system shape, fault spec, the robust flag —
-/// stays in the fingerprint and splits the group.
-fn spec_fingerprint(request: &DecisionRequest) -> u64 {
-    let mut normalized = request.clone();
-    normalized.health = ClusterHealth::nominal();
-    fnv1a64(normalized.canonical_key().as_bytes())
+/// The spec group of a job: its request in canonical JSON with the
+/// `health` section normalized to nominal, and that text's FNV-1a 64. The
+/// canonical re-encoding puts reordered or defaulted-but-equal specs in
+/// one group; the health normalization reflects that plan time overwrites
+/// `request.health` with the bound cluster's state, so whatever health
+/// the registration happened to carry is not part of the question being
+/// planned. Everything semantic — model, GC algorithm, per-tensor ratio
+/// plans, system shape, fault spec, the robust flag — stays in the text
+/// and splits the group.
+///
+/// Equality compares the fingerprint first, as the cheap test, and then
+/// the full text, so two specs whose fingerprints collide stay two groups
+/// and never share a decision body. The text is shared, so the copy every
+/// queued re-plan carries costs a reference count.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct SpecGroup {
+    fingerprint: u64,
+    text: Arc<str>,
+}
+
+impl SpecGroup {
+    fn of(request: &DecisionRequest) -> Self {
+        let mut normalized = request.clone();
+        normalized.health = ClusterHealth::nominal();
+        let text = normalized.canonical_key();
+        Self {
+            fingerprint: fnv1a64(text.as_bytes()),
+            text: text.into(),
+        }
+    }
 }
 
 /// The journaled state transitions. Every mutation of the job table or
@@ -444,25 +461,26 @@ struct Control {
 /// commits, so the table always ends at the newest epoch's bytes.
 #[derive(Debug, Clone)]
 struct ReplanBasis {
-    /// Spec-group fingerprint of the job's request ([`spec_fingerprint`]).
-    spec_fp: u64,
+    /// Spec group of the job's request.
+    spec_group: SpecGroup,
     /// Bound cluster. Splits groups even at equal health: the binding is
     /// a semantic difference (its future deltas diverge), and keeping it
     /// in the key means every member shares one epoch stamp.
     cluster: String,
     /// Cluster health to plan under.
     health: ClusterHealth,
-    /// Canonical-JSON fingerprint of `health` — the cheap group compare.
+    /// Canonical-JSON fingerprint of `health` — the cheap first test of
+    /// the group compare, which then compares `health` itself.
     health_fp: u64,
     /// Cluster epoch the health was observed at; the commit stamp.
     epoch: u64,
 }
 
 impl ReplanBasis {
-    fn new(spec_fp: u64, cluster: &str, health: ClusterHealth, epoch: u64) -> Self {
+    fn new(spec_group: SpecGroup, cluster: &str, health: ClusterHealth, epoch: u64) -> Self {
         let health_fp = fnv1a64(health.to_json().canonical().render().as_bytes());
         Self {
-            spec_fp,
+            spec_group,
             cluster: cluster.to_string(),
             health,
             health_fp,
@@ -470,11 +488,13 @@ impl ReplanBasis {
         }
     }
 
-    /// Whether two bases are the same planning question.
+    /// Whether two bases are the same planning question: fingerprints
+    /// first, then the values they stand for.
     fn same_group(&self, other: &ReplanBasis) -> bool {
-        self.spec_fp == other.spec_fp
-            && self.epoch == other.epoch
+        self.epoch == other.epoch
             && self.health_fp == other.health_fp
+            && self.spec_group == other.spec_group
+            && self.health == other.health
             && self.cluster == other.cluster
     }
 }
@@ -674,14 +694,14 @@ impl FleetController {
             spec.request.replan_priority().map_err(FleetError::Request)?
         };
         let spec_key = spec.to_json().canonical().render();
-        let spec_fp = spec_fingerprint(&spec.request);
+        let spec_group = SpecGroup::of(&spec.request);
         let inner = &self.inner;
         let shard_idx = inner.shard_of(&spec.id);
         let basis;
         {
             let mut control = lock(&inner.control);
             let (health, epoch) = cluster_state(&control, &spec.cluster);
-            basis = ReplanBasis::new(spec_fp, &spec.cluster, health, epoch);
+            basis = ReplanBasis::new(spec_group, &spec.cluster, health, epoch);
             // The shard guard must be released before `maybe_snapshot`:
             // taking a snapshot locks every shard (control → shard is the
             // one legal nesting order, and never while a shard from the
@@ -787,18 +807,19 @@ impl FleetController {
         // just-applied health at the just-applied epoch), so same-spec
         // jobs coalesce into one planner batch downstream.
         let (health, epoch) = cluster_state(&lock(&inner.control), &delta.cluster);
-        let proto = ReplanBasis::new(0, &delta.cluster, health, epoch);
+        // Every member replaces the placeholder spec group with its own.
+        let proto = ReplanBasis::new(SpecGroup::default(), &delta.cluster, health, epoch);
         let observed = Instant::now();
         let mut invalidated = 0usize;
         for shard in &inner.shards {
-            let bound: Vec<(String, u64, u64)> = lock(shard)
+            let bound: Vec<(String, u64, SpecGroup)> = lock(shard)
                 .values()
                 .filter(|e| e.spec.cluster == delta.cluster)
-                .map(|e| (e.spec.id.clone(), e.priority, e.spec_fp))
+                .map(|e| (e.spec.id.clone(), e.priority, e.spec_group.clone()))
                 .collect();
-            for (id, priority, spec_fp) in bound {
+            for (id, priority, spec_group) in bound {
                 let basis = ReplanBasis {
-                    spec_fp,
+                    spec_group,
                     ..proto.clone()
                 };
                 inner.enqueue_replan(&id, priority, Some(observed), basis);
@@ -1204,19 +1225,19 @@ impl FleetInner {
         let mut members: Vec<(String, Option<Instant>, Option<String>)> = Vec::new();
         let mut exemplar: Option<DecisionRequest> = None;
         for (job_id, observed) in &batch.jobs {
-            let Some((request, cluster, notify, spec_fp)) = ({
+            let Some((request, cluster, notify, spec_group)) = ({
                 lock(&self.shards[self.shard_of(job_id)]).get(job_id).map(|e| {
                     (
                         e.spec.request.clone(),
                         e.spec.cluster.clone(),
                         e.spec.notify.clone(),
-                        e.spec_fp,
+                        e.spec_group.clone(),
                     )
                 })
             }) else {
                 continue; // Unregistered while queued.
             };
-            if spec_fp != batch.basis.spec_fp || cluster != batch.basis.cluster {
+            if spec_group != batch.basis.spec_group || cluster != batch.basis.cluster {
                 continue; // Re-registered since enqueue; a fresh entry is queued.
             }
             if exemplar.is_none() {
@@ -1381,8 +1402,12 @@ impl FleetInner {
                     .as_ref()
                     .is_none_or(|d| d.epoch < epoch);
                 if stale {
-                    let basis =
-                        ReplanBasis::new(entry.spec_fp, &entry.spec.cluster, health, epoch);
+                    let basis = ReplanBasis::new(
+                        entry.spec_group.clone(),
+                        &entry.spec.cluster,
+                        health,
+                        epoch,
+                    );
                     out.push((entry.spec.id.clone(), entry.priority, basis));
                 }
             }
@@ -2108,8 +2133,8 @@ mod tests {
                     "intra": "Pcie", "inter_gbps": 25.0 }
     }"#;
 
-    fn group_fp(text: &str) -> u64 {
-        spec_fingerprint(&DecisionRequest::parse(text).expect("spec should parse"))
+    fn group(text: &str) -> SpecGroup {
+        SpecGroup::of(&DecisionRequest::parse(text).expect("spec should parse"))
     }
 
     fn group_base_with_ratios(ratios: &[f64]) -> String {
@@ -2152,7 +2177,7 @@ mod tests {
                     "model": {{ "model": "LSTM" }}
                 }}"#
             );
-            proptest::prop_assert_eq!(group_fp(GROUP_BASE), group_fp(&shuffled));
+            proptest::prop_assert_eq!(group(GROUP_BASE), group(&shuffled));
         }
 
         /// Any single tensor's ratio moving away from uniform is a
@@ -2165,8 +2190,8 @@ mod tests {
             let mut ratios = [0.01f64; 10];
             ratios[tensor] = 0.01 + f64::from(bump) * 0.001;
             proptest::prop_assert_ne!(
-                group_fp(GROUP_BASE),
-                group_fp(&group_base_with_ratios(&ratios))
+                group(GROUP_BASE),
+                group(&group_base_with_ratios(&ratios))
             );
         }
 
@@ -2180,24 +2205,46 @@ mod tests {
             factor_tenths in 11u32..50,
         ) {
             let f = f64::from(factor_tenths) / 10.0;
-            let fp = group_fp(GROUP_BASE);
+            let spec = group(GROUP_BASE);
             let degraded = ClusterHealth::inter_degraded(f);
-            let base = ReplanBasis::new(fp, "c0", degraded, epoch);
+            let basis = |spec: &SpecGroup, cluster, health, epoch| {
+                ReplanBasis::new(spec.clone(), cluster, health, epoch)
+            };
+            let base = basis(&spec, "c0", degraded, epoch);
+            proptest::prop_assert!(base.same_group(&basis(&spec, "c0", degraded, epoch)));
+            proptest::prop_assert!(!base.same_group(&basis(&spec, "c1", degraded, epoch)));
             proptest::prop_assert!(
-                base.same_group(&ReplanBasis::new(fp, "c0", degraded, epoch))
+                !base.same_group(&basis(&spec, "c0", ClusterHealth::nominal(), epoch))
             );
-            proptest::prop_assert!(
-                !base.same_group(&ReplanBasis::new(fp, "c1", degraded, epoch))
-            );
-            proptest::prop_assert!(
-                !base.same_group(&ReplanBasis::new(fp, "c0", ClusterHealth::nominal(), epoch))
-            );
-            proptest::prop_assert!(
-                !base.same_group(&ReplanBasis::new(fp, "c0", degraded, epoch + 1))
-            );
-            proptest::prop_assert!(
-                !base.same_group(&ReplanBasis::new(fp ^ 1, "c0", degraded, epoch))
-            );
+            proptest::prop_assert!(!base.same_group(&basis(&spec, "c0", degraded, epoch + 1)));
+            let other = SpecGroup {
+                fingerprint: spec.fingerprint ^ 1,
+                ..spec.clone()
+            };
+            proptest::prop_assert!(!base.same_group(&basis(&other, "c0", degraded, epoch)));
         }
+    }
+
+    /// Fingerprints are only the first test: two bases whose spec
+    /// fingerprints collide, or whose health fingerprints collide, but
+    /// whose bytes differ are two planning questions, never one batch.
+    #[test]
+    fn colliding_fingerprints_do_not_group() {
+        let spec = group(GROUP_BASE);
+        let mut ratios = [0.01f64; 10];
+        ratios[3] = 0.02;
+        let forced = SpecGroup {
+            fingerprint: spec.fingerprint,
+            ..group(&group_base_with_ratios(&ratios))
+        };
+        assert_ne!(forced.text, spec.text);
+        let degraded = ClusterHealth::inter_degraded(2.0);
+        let base = ReplanBasis::new(spec.clone(), "c0", degraded, 7);
+        assert!(base.same_group(&ReplanBasis::new(spec.clone(), "c0", degraded, 7)));
+        assert!(!base.same_group(&ReplanBasis::new(forced, "c0", degraded, 7)));
+
+        let mut other_health = ReplanBasis::new(spec, "c0", ClusterHealth::inter_degraded(3.0), 7);
+        other_health.health_fp = base.health_fp;
+        assert!(!base.same_group(&other_health));
     }
 }

@@ -5,10 +5,10 @@
 //! per-worker error-feedback grid, the telemetry log, cluster membership,
 //! and the degradation-monitor / fallback bookkeeping.
 //!
-//! # File format (v2)
+//! # File format (v3)
 //!
 //! ```text
-//! ESPRESSO-CKPT v2 len=<N> meta=<M> fnv1a64=<16 hex digits>\n
+//! ESPRESSO-CKPT v3 len=<N> meta=<M> lane64=<16 hex digits>\n
 //! <M bytes of compact JSON metadata><N - M bytes of tensor section>
 //! ```
 //!
@@ -19,12 +19,22 @@
 //! `params`, then `velocity`, then `ef` row by row. Raw bits make the
 //! round trip exact for every value, `-0.0`, subnormals and NaN payloads
 //! included, at 4 bytes per element; the error-feedback grid alone holds
-//! one model's worth of floats per surviving worker.
+//! one model's worth of floats per surviving worker. This payload is the
+//! v2 payload byte for byte, its metadata `"version":2` included; v3
+//! changes only the header's checksum.
 //!
-//! The checksum is FNV-1a 64 over the whole payload. Every single-byte
-//! substitution at equal length changes an FNV-1a hash (each round is a
-//! bijection in the accumulator), length changes trip the `len` field, and
-//! the header must be byte for byte the one [`encode_file`] writes for the
+//! The checksum is [`espresso_json::lane64`] over the whole payload: the
+//! payload's little-endian `u64` words dealt round-robin to eight lanes,
+//! each lane absorbing a word by `s = m((s ^ w) * K)` with `K` odd and
+//! `m(x) = x ^ (x >> 32)`, the zero-padded tail word absorbed next in
+//! turn, then the lanes and the length folded into one value by the same
+//! round. That round is a bijection in either argument when the other is
+//! fixed, so a change confined to one word — every single-byte
+//! substitution — changes its lane's final state and then the folded
+//! value (the proof is in that module's docs). The eight lanes run in
+//! parallel in the pipeline, where FNV-1a is one serial chain of about
+//! four cycles per byte. Length changes trip the `len` field, and the
+//! header must be byte for byte the one [`encode_file`] writes for the
 //! values it carries — so header damage that still parses to the same
 //! values (a `+` sign, an upper-case hex digit, a tab for a space) is
 //! caught too, and any flipped byte anywhere in the file is detected.
@@ -32,19 +42,27 @@
 //! element counts sum to exactly `(N - M) / 4`: an inconsistent file is
 //! reported as corrupt and never sizes an allocation.
 //!
-//! # v1 read path
+//! [`TrainerState::fingerprint`] is FNV-1a 64 of the same payload, as it
+//! was under v2. It is no longer a header field: it is the comparator of
+//! the bitwise-resume guarantee and stays fixed across format changes.
 //!
-//! Older builds wrote `ESPRESSO-CKPT v1 len=<N> fnv1a64=<hex>\n` followed
-//! by the whole state as one JSON document (the [`ToJson`] form of
-//! [`TrainerState`]), every float as a shortest-round-trip decimal.
-//! [`decode_file`] dispatches on the magic and still reads v1, so
-//! checkpoints already on disk resume; [`encode_file`] writes only v2.
+//! # v2 and v1 read paths
+//!
+//! [`decode_file`] dispatches on the magic, so checkpoints already on disk
+//! resume; [`encode_file`] and [`CheckpointStore::save`] write only v3.
+//! v2 (`ESPRESSO-CKPT v2 len=<N> meta=<M> fnv1a64=<hex>\n`) carries the
+//! same payload under an FNV-1a 64 checksum. v1 (`ESPRESSO-CKPT v1
+//! len=<N> fnv1a64=<hex>\n`) is followed by the whole state as one JSON
+//! document (the [`ToJson`] form of [`TrainerState`]), every float as a
+//! shortest-round-trip decimal.
 //!
 //! # Atomicity and rotation
 //!
-//! [`CheckpointStore::save`] writes to a temp file, rotates the current
-//! checkpoint to `checkpoint.prev.json`, then renames the temp file into
-//! place (the `.json` names predate v2 and are kept so that a v1
+//! [`CheckpointStore::save`] streams the file into a temp file through a
+//! buffered writer — the checksum is computed in a first pass over the
+//! state, so the file is never assembled in memory — then rotates the
+//! current checkpoint to `checkpoint.prev.json` and renames the temp file
+//! into place (the `.json` names predate v2 and are kept so that a v1
 //! directory still resumes). A process crash (`kill -9`) at any point
 //! leaves at least one intact generation on disk, and
 //! [`CheckpointStore::load`] falls back to the previous generation when
@@ -54,12 +72,12 @@
 
 use std::fmt;
 use std::fs;
-use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
+use std::path::PathBuf;
 
 use espresso_cluster::Membership;
 use espresso_gc::{ErrorFeedback, GcAlgorithm};
-use espresso_json::{enums, fnv1a64, fnv1a64_extend, DecodeError, FromJson, Json, ToJson};
+use espresso_json::{enums, fnv1a64, fnv1a64_extend, DecodeError, FromJson, Json, Lane64, ToJson};
 
 use crate::{distributed::SyncMode, distributed::TrainLog, mlp::Mlp, optimizer::Optimizer};
 
@@ -124,13 +142,17 @@ impl TrainerState {
         Mlp::from_params(self.dims, self.hidden, self.classes, self.params.clone())
     }
 
-    /// FNV-1a 64 over the v2 payload — exactly the `fnv1a64` field
-    /// [`encode_file`] writes, computed without assembling the file. The
-    /// payload holds every field, and every tensor as raw bits, so two
-    /// states are bit-identical iff their fingerprints match (the
-    /// comparator of the bitwise-resume guarantee).
+    /// FNV-1a 64 over the checkpoint payload (the same bytes under v2
+    /// and v3), computed without assembling the file. The payload holds
+    /// every field, and every tensor as raw bits, so two states are
+    /// bit-identical iff their fingerprints match (the comparator of the
+    /// bitwise-resume guarantee).
     pub fn fingerprint(&self) -> u64 {
-        self.payload_hash(&self.meta())
+        let mut hash = fnv1a64(self.meta().as_bytes());
+        for tensor in self.tensors() {
+            put_le(tensor, &mut |bytes| hash = fnv1a64_extend(hash, bytes));
+        }
+        hash
     }
 
     /// FNV-1a 64 fingerprint of the weight tensors alone (stable across
@@ -140,7 +162,7 @@ impl TrainerState {
     }
 
     /// Every `f32` tensor in document order — `params`, momentum
-    /// `velocity`, then `ef` row by row — which is the order of the v2
+    /// `velocity`, then `ef` row by row — which is the order of the
     /// tensor section and of the tensor callbacks in
     /// [`TrainerState::from_document`].
     fn tensors(&self) -> impl Iterator<Item = &[f32]> {
@@ -160,13 +182,39 @@ impl TrainerState {
         self.document(2, element_count).render()
     }
 
-    /// FNV-1a 64 of `meta` followed by the tensor section, streamed.
-    fn payload_hash(&self, meta: &str) -> u64 {
-        let mut hash = fnv1a64(meta.as_bytes());
+    /// The file checksum: Lane64 of `meta` followed by the tensor
+    /// section, streamed.
+    fn payload_sum(&self, meta: &str) -> u64 {
+        let mut sum = Lane64::new();
+        sum.update(meta.as_bytes());
         for tensor in self.tensors() {
-            put_le(tensor, &mut |bytes| hash = fnv1a64_extend(hash, bytes));
+            put_le(tensor, &mut |bytes| sum.update(bytes));
         }
-        hash
+        sum.finish()
+    }
+
+    /// Writes the file: the v3 header, the metadata, then the tensor
+    /// section, each tensor encoded one block at a time. The checksum is a
+    /// first pass over the state, so nothing the size of the file is
+    /// allocated.
+    fn write_file(&self, out: &mut impl Write) -> io::Result<()> {
+        let meta = self.meta();
+        let elements: usize = self.tensors().map(<[f32]>::len).sum();
+        let len = meta.len() + 4 * elements;
+        let header = header_v3(len as u64, meta.len() as u64, self.payload_sum(&meta));
+        out.write_all(header.as_bytes())?;
+        out.write_all(b"\n")?;
+        out.write_all(meta.as_bytes())?;
+        for tensor in self.tensors() {
+            let mut written = Ok(());
+            put_le(tensor, &mut |le| {
+                if written.is_ok() {
+                    written = out.write_all(le);
+                }
+            });
+            written?;
+        }
+        Ok(())
     }
 
     /// The state as a document of format `version`, each tensor rendered
@@ -453,6 +501,7 @@ impl From<std::io::Error> for CheckpointError {
 
 const MAGIC_V1: &str = "ESPRESSO-CKPT v1";
 const MAGIC_V2: &str = "ESPRESSO-CKPT v2";
+const MAGIC_V3: &str = "ESPRESSO-CKPT v3";
 
 fn header_v1(len: u64, hash: u64) -> String {
     format!("{MAGIC_V1} len={len} fnv1a64={hash:016x}")
@@ -462,24 +511,22 @@ fn header_v2(len: u64, meta: u64, hash: u64) -> String {
     format!("{MAGIC_V2} len={len} meta={meta} fnv1a64={hash:016x}")
 }
 
-/// Renders `state` in the on-disk checkpoint format (v2 header + payload).
+fn header_v3(len: u64, meta: u64, sum: u64) -> String {
+    format!("{MAGIC_V3} len={len} meta={meta} lane64={sum:016x}")
+}
+
+/// Renders `state` in the on-disk checkpoint format (v3 header + payload):
+/// the bytes [`CheckpointStore::save`] streams into its file.
 pub fn encode_file(state: &TrainerState) -> Vec<u8> {
-    let meta = state.meta();
-    let elements: usize = state.tensors().map(<[f32]>::len).sum();
-    let len = meta.len() + 4 * elements;
-    let header = header_v2(len as u64, meta.len() as u64, state.payload_hash(&meta));
-    let mut bytes = Vec::with_capacity(header.len() + 1 + len);
-    bytes.extend_from_slice(header.as_bytes());
-    bytes.push(b'\n');
-    bytes.extend_from_slice(meta.as_bytes());
-    for tensor in state.tensors() {
-        put_le(tensor, &mut |le| bytes.extend_from_slice(le));
-    }
+    let mut bytes = Vec::new();
+    state
+        .write_file(&mut bytes)
+        .expect("writing into a Vec cannot fail");
     bytes
 }
 
-/// Parses the on-disk checkpoint format (v2, or v1 from older builds),
-/// verifying length and checksum.
+/// Parses the on-disk checkpoint format (v3, or v2 and v1 from older
+/// builds), verifying length and checksum.
 ///
 /// # Errors
 ///
@@ -488,51 +535,173 @@ pub fn encode_file(state: &TrainerState) -> Vec<u8> {
 /// counts that disagree with the tensor section, or an undecodable
 /// payload.
 pub fn decode_file(bytes: &[u8]) -> Result<TrainerState, CheckpointError> {
-    decode(bytes).map_err(|message| CheckpointError::Corrupt { message })
+    decode(&mut io::Cursor::new(bytes), bytes.len() as u64)
 }
 
-fn decode(bytes: &[u8]) -> Result<TrainerState, String> {
-    let newline = bytes
-        .iter()
-        .position(|&b| b == b'\n')
-        .ok_or("missing header line")?;
-    let header = std::str::from_utf8(&bytes[..newline]).map_err(|_| "header is not UTF-8")?;
-    let payload = &bytes[newline + 1..];
-    if let Some(rest) = header.strip_prefix(MAGIC_V2) {
+/// Longer than any header line a format writes: a first line that does
+/// not end within it is corrupt.
+const MAX_HEADER: u64 = 256;
+
+/// The running checksum a header names.
+enum Checksum {
+    Fnv1a64(u64),
+    Lane64(Lane64),
+}
+
+impl Checksum {
+    fn update(&mut self, bytes: &[u8]) {
+        match self {
+            Checksum::Fnv1a64(hash) => *hash = fnv1a64_extend(*hash, bytes),
+            Checksum::Lane64(sum) => sum.update(bytes),
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        match self {
+            Checksum::Fnv1a64(hash) => *hash,
+            Checksum::Lane64(sum) => sum.finish(),
+        }
+    }
+}
+
+fn corrupt(message: impl Into<String>) -> CheckpointError {
+    CheckpointError::Corrupt {
+        message: message.into(),
+    }
+}
+
+/// A read that ran out of bytes met a file shorter than its header said
+/// (it shrank while being read): corruption, not an I/O failure.
+fn read_error(e: io::Error) -> CheckpointError {
+    if e.kind() == io::ErrorKind::UnexpectedEof {
+        corrupt("the file ended before the length its header gives")
+    } else {
+        CheckpointError::Io(e)
+    }
+}
+
+/// Decodes a checkpoint of `file_len` bytes from `input`, positioned at
+/// its start, in two passes. The first verifies the payload's length and
+/// checksum, keeping the metadata (or the v1 document) and streaming the
+/// tensor section through `input`'s buffer; the second seeks back to the
+/// tensor section and decodes it straight into the state's tensors. So
+/// nothing is decoded before it is verified, and a file read through a
+/// small buffer allocates no copy of itself.
+fn decode<R: BufRead + Seek>(
+    input: &mut R,
+    file_len: u64,
+) -> Result<TrainerState, CheckpointError> {
+    let mut line = Vec::new();
+    input
+        .by_ref()
+        .take(MAX_HEADER)
+        .read_until(b'\n', &mut line)
+        .map_err(read_error)?;
+    if line.pop() != Some(b'\n') {
+        return Err(corrupt(format!(
+            "no header line in the first {MAX_HEADER} bytes"
+        )));
+    }
+    let header = std::str::from_utf8(&line).map_err(|_| corrupt("header is not UTF-8"))?;
+    let (len, meta, sum, mut checksum) = if let Some(rest) = header.strip_prefix(MAGIC_V3) {
+        let [len, meta, sum] = header_fields(rest, ["len", "meta", "lane64"])?;
+        check_canonical(header, &header_v3(len, meta, sum))?;
+        (len, Some(meta), sum, Checksum::Lane64(Lane64::new()))
+    } else if let Some(rest) = header.strip_prefix(MAGIC_V2) {
         let [len, meta, hash] = header_fields(rest, ["len", "meta", "fnv1a64"])?;
         check_canonical(header, &header_v2(len, meta, hash))?;
-        verify(payload, len, hash)?;
-        decode_v2(payload, meta)
+        (len, Some(meta), hash, Checksum::Fnv1a64(fnv1a64(&[])))
     } else if let Some(rest) = header.strip_prefix(MAGIC_V1) {
         let [len, hash] = header_fields(rest, ["len", "fnv1a64"])?;
         check_canonical(header, &header_v1(len, hash))?;
-        verify(payload, len, hash)?;
-        let text = std::str::from_utf8(payload).map_err(|_| "payload is not UTF-8")?;
-        Json::decode(text).map_err(|e| format!("payload does not decode: {e}"))
+        (len, None, hash, Checksum::Fnv1a64(fnv1a64(&[])))
     } else {
-        Err(format!("bad magic in header `{}`", excerpt(header)))
+        return Err(corrupt(format!(
+            "bad magic in header `{}`",
+            excerpt(header)
+        )));
+    };
+    let header_len = line.len() as u64 + 1;
+    let payload_len = file_len.saturating_sub(header_len);
+    if payload_len != len {
+        return Err(corrupt(format!(
+            "payload is {payload_len} bytes, header says {len} (torn write?)"
+        )));
+    }
+
+    // Pass 1. The metadata is at most the payload, which the file holds.
+    let kept = meta.unwrap_or(len);
+    if kept > len {
+        return Err(corrupt(format!(
+            "meta={kept} exceeds the {len}-byte payload"
+        )));
+    }
+    let mut text = vec![0; usize::try_from(kept).map_err(|_| corrupt("metadata too large"))?];
+    input.read_exact(&mut text).map_err(read_error)?;
+    checksum.update(&text);
+    let mut rest = len - kept;
+    while rest > 0 {
+        let buf = input.fill_buf().map_err(read_error)?;
+        if buf.is_empty() {
+            return Err(read_error(io::ErrorKind::UnexpectedEof.into()));
+        }
+        let take = buf.len().min(usize::try_from(rest).unwrap_or(usize::MAX));
+        checksum.update(&buf[..take]);
+        input.consume(take);
+        rest -= take as u64;
+    }
+    let actual = checksum.finish();
+    if actual != sum {
+        return Err(corrupt(format!(
+            "checksum mismatch: payload hashes to {actual:016x}, header says {sum:016x}"
+        )));
+    }
+
+    // Pass 2, on verified bytes.
+    let text = std::str::from_utf8(&text).map_err(|_| corrupt("metadata is not UTF-8"))?;
+    match meta {
+        None => Json::decode(text).map_err(|e| corrupt(format!("payload does not decode: {e}"))),
+        Some(meta) => {
+            input
+                .seek(SeekFrom::Start(header_len + meta))
+                .map_err(read_error)?;
+            decode_v2(text, len - meta, input)
+        }
     }
 }
 
 /// Reads the `key=value` fields after the magic, in the order `keys`
-/// names them: `fnv1a64` in hex, the rest in decimal.
-fn header_fields<const K: usize>(rest: &str, keys: [&str; K]) -> Result<[u64; K], String> {
+/// names them: the checksum (`fnv1a64`, `lane64`) in hex, the rest in
+/// decimal.
+fn header_fields<const K: usize>(rest: &str, keys: [&str; K]) -> Result<[u64; K], CheckpointError> {
     let mut values = [0u64; K];
     let mut fields = rest.split_whitespace();
     for (value, key) in values.iter_mut().zip(keys) {
         let field = fields
             .next()
-            .ok_or_else(|| format!("header missing {key} field"))?;
+            .ok_or_else(|| corrupt(format!("header missing {key} field")))?;
         let text = field
             .strip_prefix(key)
             .and_then(|f| f.strip_prefix('='))
-            .ok_or_else(|| format!("expected {key}= in header, found `{}`", excerpt(field)))?;
-        let radix = if key == "fnv1a64" { 16 } else { 10 };
+            .ok_or_else(|| {
+                corrupt(format!(
+                    "expected {key}= in header, found `{}`",
+                    excerpt(field)
+                ))
+            })?;
+        let radix = if matches!(key, "fnv1a64" | "lane64") {
+            16
+        } else {
+            10
+        };
         *value = u64::from_str_radix(text, radix)
-            .map_err(|_| format!("bad {key} field `{}`", excerpt(text)))?;
+            .map_err(|_| corrupt(format!("bad {key} field `{}`", excerpt(text))))?;
     }
     match fields.next() {
-        Some(extra) => Err(format!("unknown header field `{}`", excerpt(extra))),
+        Some(extra) => Err(corrupt(format!(
+            "unknown header field `{}`",
+            excerpt(extra)
+        ))),
         None => Ok(values),
     }
 }
@@ -540,51 +709,33 @@ fn header_fields<const K: usize>(rest: &str, keys: [&str; K]) -> Result<[u64; K]
 /// The header must be byte for byte the one the encoder writes for the
 /// values it parsed to: `+` signs, leading zeros, upper-case hex and
 /// stray whitespace all parse to the same values but are damage.
-fn check_canonical(header: &str, canonical: &str) -> Result<(), String> {
+fn check_canonical(header: &str, canonical: &str) -> Result<(), CheckpointError> {
     if header == canonical {
         Ok(())
     } else {
-        Err(format!(
+        Err(corrupt(format!(
             "header `{}` is not in canonical form",
             excerpt(header)
-        ))
+        )))
     }
 }
 
-fn verify(payload: &[u8], len: u64, hash: u64) -> Result<(), String> {
-    if payload.len() as u64 != len {
-        return Err(format!(
-            "payload is {} bytes, header says {len} (torn write?)",
-            payload.len()
-        ));
+/// Rebuilds the state from verified v2/v3 metadata `meta` and the
+/// `section` bytes of tensors `input` continues with. The element counts
+/// are summed and checked against the tensor section before any tensor is
+/// allocated.
+fn decode_v2(
+    meta: &str,
+    section: u64,
+    input: &mut impl BufRead,
+) -> Result<TrainerState, CheckpointError> {
+    if !section.is_multiple_of(4) {
+        return Err(corrupt(format!(
+            "tensor section is {section} bytes, not a whole number of f32s"
+        )));
     }
-    let actual = fnv1a64(payload);
-    if actual != hash {
-        return Err(format!(
-            "checksum mismatch: payload hashes to {actual:016x}, header says {hash:016x}"
-        ));
-    }
-    Ok(())
-}
-
-/// Splits a verified v2 payload at `meta` and rebuilds the state. The
-/// element counts are summed and checked against the tensor section
-/// before any tensor is allocated.
-fn decode_v2(payload: &[u8], meta: u64) -> Result<TrainerState, String> {
-    let meta = usize::try_from(meta)
-        .ok()
-        .filter(|&m| m <= payload.len())
-        .ok_or_else(|| format!("meta={meta} exceeds the {}-byte payload", payload.len()))?;
-    let (meta, section) = payload.split_at(meta);
-    if section.len() % 4 != 0 {
-        return Err(format!(
-            "tensor section is {} bytes, not a whole number of f32s",
-            section.len()
-        ));
-    }
-    let text = std::str::from_utf8(meta).map_err(|_| "metadata is not UTF-8")?;
-    let doc = Json::parse(text).map_err(|e| format!("metadata does not parse: {e}"))?;
-    let undecodable = |e: DecodeError| format!("metadata does not decode: {e}");
+    let doc = Json::parse(meta).map_err(|e| corrupt(format!("metadata does not parse: {e}")))?;
+    let undecodable = |e: DecodeError| corrupt(format!("metadata does not decode: {e}"));
 
     let mut elements = 0usize;
     TrainerState::from_document(&doc, 2, &mut |v| {
@@ -594,26 +745,50 @@ fn decode_v2(payload: &[u8], meta: u64) -> Result<TrainerState, String> {
         Ok(Vec::new())
     })
     .map_err(undecodable)?;
-    if elements != section.len() / 4 {
-        return Err(format!(
+    if elements as u64 != section / 4 {
+        return Err(corrupt(format!(
             "metadata counts {elements} elements, the tensor section holds {}",
-            section.len() / 4
-        ));
+            section / 4
+        )));
     }
 
-    let mut rest = section;
-    TrainerState::from_document(&doc, 2, &mut |v| {
-        let (tensor, tail) = usize::from_json(v)?
-            .checked_mul(4)
-            .and_then(|bytes| rest.split_at_checked(bytes))
-            .ok_or_else(|| DecodeError::new("tensor overruns the tensor section"))?;
-        rest = tail;
-        Ok(tensor
-            .chunks_exact(4)
-            .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-            .collect())
-    })
-    .map_err(undecodable)
+    // Every count is now bounded by the section, which the file holds.
+    let mut failed = None;
+    let state = TrainerState::from_document(&doc, 2, &mut |v| {
+        read_f32s(input, usize::from_json(v)?).map_err(|e| {
+            let message = format!("reading the tensor section: {e}");
+            failed = Some(e);
+            DecodeError::new(message)
+        })
+    });
+    match (state, failed) {
+        (_, Some(e)) => Err(read_error(e)),
+        (state, None) => state.map_err(undecodable),
+    }
+}
+
+/// Reads `n` little-endian `f32`s, converting straight out of `input`'s
+/// buffer.
+fn read_f32s(input: &mut impl BufRead, n: usize) -> io::Result<Vec<f32>> {
+    let mut out = Vec::with_capacity(n);
+    while out.len() < n {
+        let buf = input.fill_buf()?;
+        let whole = (buf.len() / 4).min(n - out.len());
+        if whole == 0 {
+            // An f32 split across two refills of the buffer.
+            let mut word = [0u8; 4];
+            input.read_exact(&mut word)?;
+            out.push(f32::from_le_bytes(word));
+            continue;
+        }
+        out.extend(
+            buf[..4 * whole]
+                .chunks_exact(4)
+                .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]])),
+        );
+        input.consume(4 * whole);
+    }
+    Ok(out)
 }
 
 /// At most 64 characters of `text`, for error messages about headers
@@ -654,10 +829,11 @@ impl CheckpointStore {
         self.dir.join("checkpoint.prev.json")
     }
 
-    /// Persists `state`: write temp, rotate current to previous, rename
-    /// temp into place. A process crash between any two of these
-    /// operations leaves at least one loadable generation; nothing is
-    /// fsynced, so a power loss is not covered.
+    /// Persists `state`: stream the file ([`encode_file`]'s bytes) into a
+    /// temp file, rotate current to previous, rename temp into place. A
+    /// process crash between any two of these operations leaves at least
+    /// one loadable generation; nothing is fsynced, so a power loss is not
+    /// covered.
     ///
     /// # Errors
     ///
@@ -665,8 +841,9 @@ impl CheckpointStore {
     pub fn save(&self, state: &TrainerState) -> Result<(), CheckpointError> {
         let tmp = self.dir.join("checkpoint.tmp");
         {
-            let mut f = fs::File::create(&tmp)?;
-            f.write_all(&encode_file(state))?;
+            let mut out = BufWriter::with_capacity(1 << 16, fs::File::create(&tmp)?);
+            state.write_file(&mut out)?;
+            out.flush()?;
         }
         let current = self.current_path();
         if current.exists() {
@@ -688,29 +865,24 @@ impl CheckpointStore {
     pub fn load(&self) -> Result<Option<TrainerState>, CheckpointError> {
         let mut first_corruption: Option<String> = None;
         for path in [self.current_path(), self.prev_path()] {
-            match read_if_exists(&path)? {
-                None => continue,
-                Some(bytes) => match decode_file(&bytes) {
-                    Ok(state) => return Ok(Some(state)),
-                    Err(e) => {
-                        first_corruption
-                            .get_or_insert_with(|| format!("{}: {e}", path.display()));
-                    }
-                },
+            let file = match fs::File::open(&path) {
+                Ok(file) => file,
+                Err(e) if e.kind() == io::ErrorKind::NotFound => continue,
+                Err(e) => return Err(e.into()),
+            };
+            let len = file.metadata()?.len();
+            match decode(&mut BufReader::with_capacity(1 << 16, file), len) {
+                Ok(state) => return Ok(Some(state)),
+                Err(e @ CheckpointError::Corrupt { .. }) => {
+                    first_corruption.get_or_insert_with(|| format!("{}: {e}", path.display()));
+                }
+                Err(e) => return Err(e),
             }
         }
         match first_corruption {
             None => Ok(None),
             Some(message) => Err(CheckpointError::Corrupt { message }),
         }
-    }
-}
-
-fn read_if_exists(path: &Path) -> Result<Option<Vec<u8>>, CheckpointError> {
-    match fs::read(path) {
-        Ok(bytes) => Ok(Some(bytes)),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
-        Err(e) => Err(e.into()),
     }
 }
 
@@ -781,11 +953,12 @@ mod tests {
         assert_eq!(back, state);
     }
 
-    /// Every position of a small file, two substitutions each: header,
+    /// Every position of a small v3 file, two substitutions each: header,
     /// metadata and tensor section alike.
     #[test]
     fn any_single_byte_substitution_is_detected() {
         let bytes = encode_file(&sample_state());
+        assert!(bytes.starts_with(MAGIC_V3.as_bytes()));
         for pos in 0..bytes.len() {
             for mask in [0x01, 0x20] {
                 let mut flipped = bytes.clone();
@@ -857,13 +1030,16 @@ mod tests {
         }
     }
 
+    /// The file's bytes after its header line.
+    fn payload(file: &[u8]) -> &[u8] {
+        &file[file.iter().position(|&b| b == b'\n').unwrap() + 1..]
+    }
+
     #[test]
-    fn fingerprint_is_the_file_checksum() {
+    fn fingerprint_is_fnv1a64_of_the_file_payload() {
         let state = sample_state();
         let bytes = encode_file(&state);
-        let header =
-            std::str::from_utf8(&bytes[..bytes.iter().position(|&b| b == b'\n').unwrap()]).unwrap();
-        assert!(header.ends_with(&format!("fnv1a64={:016x}", state.fingerprint())));
+        assert_eq!(state.fingerprint(), fnv1a64(payload(&bytes)));
 
         let mut moved = state.clone();
         moved.ef[1][0] = ErrorFeedback::from_residual(vec![-0.0, 3.75]);
@@ -883,6 +1059,70 @@ mod tests {
             fnv1a64(payload.as_bytes())
         )
         .into_bytes()
+    }
+
+    /// A v2 file as older builds wrote it: the v3 payload behind the v2
+    /// header and its FNV-1a 64 checksum.
+    fn v2_file(state: &TrainerState) -> Vec<u8> {
+        let v3 = encode_file(state);
+        let payload = payload(&v3);
+        let header = std::str::from_utf8(&v3[..v3.len() - payload.len() - 1]).unwrap();
+        let meta = header
+            .split(' ')
+            .find_map(|f| f.strip_prefix("meta="))
+            .unwrap();
+        let mut file = header_v2(
+            payload.len() as u64,
+            meta.parse().unwrap(),
+            fnv1a64(payload),
+        )
+        .into_bytes();
+        file.push(b'\n');
+        file.extend_from_slice(payload);
+        file
+    }
+
+    #[test]
+    fn v2_files_still_decode() {
+        let state = sample_state();
+        let bytes = v2_file(&state);
+        assert!(bytes.starts_with(MAGIC_V2.as_bytes()));
+        assert_eq!(decode_file(&bytes).unwrap(), state);
+        for pos in [20, bytes.len() / 2, bytes.len() - 1] {
+            let mut flipped = bytes.clone();
+            flipped[pos] ^= 0x20;
+            assert!(
+                matches!(decode_file(&flipped), Err(CheckpointError::Corrupt { .. })),
+                "substitution at byte {pos} went undetected"
+            );
+        }
+    }
+
+    #[test]
+    fn streamed_save_writes_exactly_the_encoded_file() {
+        let dir = std::env::temp_dir().join(format!("espresso-ckpt-save-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let store = CheckpointStore::new(&dir).unwrap();
+        let mut state = sample_state();
+        // Tensors longer than one encoding block and the writer's buffer.
+        state.ef[0][0] =
+            ErrorFeedback::from_residual((0..40_000).map(|i| i as f32 * 0.5).collect());
+        store.save(&state).unwrap();
+        assert!(fs::read(store.current_path()).unwrap() == encode_file(&state));
+        // And back through the load's buffered reader.
+        assert_eq!(store.load().unwrap().unwrap(), state);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A reader whose buffer refills split `f32`s, as a short read can.
+    #[test]
+    fn f32s_split_across_buffer_refills_read_back() {
+        let values: Vec<f32> = (0..100).map(|i| i as f32 - 0.25).collect();
+        let bytes: Vec<u8> = values.iter().flat_map(|v| v.to_le_bytes()).collect();
+        let mut input = BufReader::with_capacity(7, bytes.as_slice());
+        assert_eq!(read_f32s(&mut input, 60).unwrap(), values[..60]);
+        assert_eq!(read_f32s(&mut input, 40).unwrap(), values[60..]);
+        assert!(read_f32s(&mut input, 1).is_err());
     }
 
     #[test]
@@ -920,6 +1160,33 @@ mod tests {
         let mut bytes = fs::read(store.current_path()).unwrap();
         let last = bytes.len() - 1;
         bytes[last] ^= 0xff;
+        fs::write(store.current_path(), &bytes).unwrap();
+        assert_eq!(store.load().unwrap().unwrap(), old);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn store_falls_back_from_corrupt_v3_to_v2_previous_generation() {
+        let dir = std::env::temp_dir().join(format!("espresso-ckpt-v2-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let store = CheckpointStore::new(&dir).unwrap();
+        let mut old = sample_state();
+        old.step = 10;
+        fs::write(store.current_path(), v2_file(&old)).unwrap();
+        assert_eq!(
+            store.load().unwrap().unwrap(),
+            old,
+            "a v2 directory resumes"
+        );
+
+        let mut new = sample_state();
+        new.step = 20;
+        store.save(&new).unwrap();
+        let mut bytes = fs::read(store.current_path()).unwrap();
+        assert!(bytes.starts_with(MAGIC_V3.as_bytes()));
+        assert_eq!(store.load().unwrap().unwrap(), new);
+        let last = bytes.len() - 1;
+        bytes[last] ^= 0x01;
         fs::write(store.current_path(), &bytes).unwrap();
         assert_eq!(store.load().unwrap().unwrap(), old);
         let _ = fs::remove_dir_all(&dir);

@@ -489,6 +489,7 @@ impl TrainingRuntime {
         // ---- The loop. ----
         let mut steps_run = 0usize;
         let mut completed = true;
+        let mut final_state = None;
         for step in start_step..cfg.steps {
             // Worker crashes observed at this step.
             let mut conditions_changed = false;
@@ -723,13 +724,24 @@ impl TrainingRuntime {
                 replans,
                 controller: controller.clone(),
             };
-            if let (Some(every), Some(store)) = (cfg.checkpoint_every, &self.store) {
-                if (step + 1) % every == 0 {
-                    store.save(&snapshot(step + 1))?;
-                    events.push(RuntimeEvent::Checkpointed { step: step + 1 });
-                }
+            // The state is built once per step that needs it: a checkpoint
+            // step that is also the halt or the last step saves the same
+            // state it then reports.
+            let store = match (cfg.checkpoint_every, &self.store) {
+                (Some(every), Some(store)) if (step + 1) % every == 0 => Some(store),
+                _ => None,
+            };
+            let halting = cfg.halt_at == Some(step + 1) && step + 1 < cfg.steps;
+            let last = step + 1 == cfg.steps;
+            if store.is_none() && !halting && !last {
+                continue;
             }
-            if cfg.halt_at == Some(step + 1) && step + 1 < cfg.steps {
+            let state = snapshot(step + 1);
+            if let Some(store) = store {
+                store.save(&state)?;
+                events.push(RuntimeEvent::Checkpointed { step: step + 1 });
+            }
+            if halting {
                 completed = false;
                 return Ok(RuntimeReport {
                     completed,
@@ -737,12 +749,16 @@ impl TrainingRuntime {
                     events,
                     replans,
                     fallback_trips,
-                    final_state: snapshot(step + 1),
+                    final_state: state,
                 });
+            }
+            if last {
+                final_state = Some(state);
             }
         }
 
-        let final_state = TrainerState {
+        // A run resumed at or past its last step runs no step at all.
+        let final_state = final_state.unwrap_or_else(|| TrainerState {
             step: cfg.steps,
             dims: cfg.dims,
             hidden: cfg.hidden,
@@ -764,7 +780,7 @@ impl TrainingRuntime {
             fallback_trips,
             replans,
             controller,
-        };
+        });
         Ok(RuntimeReport {
             completed,
             steps_run,

@@ -1,5 +1,6 @@
-//! Property-based tests of the checkpoint file format (v2: JSON metadata
-//! plus a raw little-endian `f32` tensor section).
+//! Property-based tests of the checkpoint file format (v3: JSON metadata
+//! plus a raw little-endian `f32` tensor section under a Lane64 checksum;
+//! v2 files, the same payload under FNV-1a 64, still decode).
 //!
 //! Three properties back the fault-tolerance headline guarantee:
 //!
@@ -12,8 +13,9 @@
 //!    anywhere in an encoded checkpoint, truncating it, or appending to it
 //!    makes `decode_file` return `CheckpointError::Corrupt` (never a
 //!    panic, never a silently wrong state). Payload substitutions are
-//!    caught by the FNV-1a checksum (every round is a bijection in the
-//!    accumulator), and header bytes by the canonical-header check or
+//!    caught by the Lane64 checksum (each round is a bijection in the
+//!    lane state and injective in the word, so a change confined to one
+//!    word cannot cancel), and header bytes by the canonical-header check or
 //!    length/checksum mismatch. Positions are sampled over the whole file
 //!    and, separately, inside the tensor section and the `len=` / `meta=`
 //!    header values.
@@ -24,7 +26,7 @@
 
 use espresso_cluster::{ClusterHealth, LinkState, Membership};
 use espresso_gc::{ErrorFeedback, GcAlgorithm};
-use espresso_json::{fnv1a64, Json};
+use espresso_json::{fnv1a64, lane64, Json};
 use espresso_training::checkpoint::{decode_file, encode_file, CheckpointError, MonitorState, TrainerState};
 use espresso_training::distributed::{SyncMode, TrainLog};
 use espresso_training::optimizer::Optimizer;
@@ -212,9 +214,9 @@ fn sprinkle_specials(state: &mut TrainerState, rng: &mut StdRng) {
     }
 }
 
-/// The parts of an encoded v2 file: header line length (newline
+/// The parts of an encoded v2/v3 file: header line length (newline
 /// included), metadata text, and tensor section.
-fn split_v2(file: &[u8]) -> (usize, String, Vec<u8>) {
+fn split_file(file: &[u8]) -> (usize, String, Vec<u8>) {
     let newline = file.iter().position(|&b| b == b'\n').expect("header line");
     let header = std::str::from_utf8(&file[..newline]).expect("UTF-8 header");
     let meta_len: usize = header
@@ -228,20 +230,33 @@ fn split_v2(file: &[u8]) -> (usize, String, Vec<u8>) {
     (newline + 1, meta.to_string(), payload[meta_len..].to_vec())
 }
 
-/// Reassembles a v2 file with a valid header and checksum around
-/// arbitrary metadata and tensor section.
-fn join_v2(meta: &str, section: &[u8]) -> Vec<u8> {
+/// Reassembles a file of format `version` with a valid header and
+/// checksum around arbitrary metadata and tensor section.
+fn join(version: u32, meta: &str, section: &[u8]) -> Vec<u8> {
     let mut payload = meta.as_bytes().to_vec();
     payload.extend_from_slice(section);
+    let sum = match version {
+        2 => format!("fnv1a64={:016x}", fnv1a64(&payload)),
+        _ => format!("lane64={:016x}", lane64(&payload)),
+    };
     let mut file = format!(
-        "ESPRESSO-CKPT v2 len={} meta={} fnv1a64={:016x}\n",
+        "ESPRESSO-CKPT v{version} len={} meta={} {sum}\n",
         payload.len(),
         meta.len(),
-        fnv1a64(&payload)
     )
     .into_bytes();
     file.extend_from_slice(&payload);
     file
+}
+
+/// A v2 file, as older builds wrote it.
+fn join_v2(meta: &str, section: &[u8]) -> Vec<u8> {
+    join(2, meta, section)
+}
+
+/// A v3 file, the format `encode_file` writes.
+fn join_v3(meta: &str, section: &[u8]) -> Vec<u8> {
+    join(3, meta, section)
 }
 
 /// Byte range of the value of header field `key` (`len`, `meta`).
@@ -366,7 +381,7 @@ proptest! {
     ) {
         let state = arbitrary_state(seed);
         let good = encode_file(&state);
-        let (header_len, meta, section) = split_v2(&good);
+        let (header_len, meta, section) = split_file(&good);
         let section_start = header_len + meta.len();
         prop_assert_eq!(section.len(), 4 * tensor_bits(&state).len());
         let regions = [
@@ -392,7 +407,7 @@ proptest! {
         extra in prop::collection::vec(0u8..=255, 1..16),
     ) {
         let good = encode_file(&arbitrary_state(seed));
-        let (header_len, meta, _) = split_v2(&good);
+        let (header_len, meta, _) = split_file(&good);
         let section_start = header_len + meta.len();
         // Cuts inside the tensor section, incl. whole-f32 ones.
         let keep = good.len().saturating_sub(cut).max(section_start);
@@ -411,9 +426,12 @@ proptest! {
         delta in 0usize..COUNT_DELTAS.len(),
     ) {
         let state = arbitrary_state(seed);
-        let (_, meta, section) = split_v2(&encode_file(&state));
-        // Sanity: the reassembled file is accepted as is.
-        prop_assert!(decode_file(&join_v2(&meta, &section)).is_ok());
+        let good = encode_file(&state);
+        let (_, meta, section) = split_file(&good);
+        // Sanity: the reassembled file is the encoded one, and the same
+        // payload under a v2 header still decodes to the same state.
+        prop_assert!(join_v3(&meta, &section) == good);
+        prop_assert_eq!(decode_file(&join_v2(&meta, &section)).ok(), Some(state));
 
         // Change one of the four `params` counts by a small or a huge
         // amount (a huge count must not size an allocation).
@@ -428,17 +446,17 @@ proptest! {
         let changed = count + COUNT_DELTAS[delta];
         if changed != count {
             *slot = Json::Num(changed);
-            assert_corrupt(&join_v2(&doc.render(), &section), &format!("count {count} -> {changed}"));
+            assert_corrupt(&join_v3(&doc.render(), &section), &format!("count {count} -> {changed}"));
         }
 
         // Or keep the metadata and grow / shrink the section by whole f32s.
         let words = 1 + which % 4;
         let mut grown = section.clone();
         grown.extend(std::iter::repeat_n(0u8, 4 * words));
-        assert_corrupt(&join_v2(&meta, &grown), "a section longer than the counts");
+        assert_corrupt(&join_v3(&meta, &grown), "a section longer than the counts");
         if section.len() >= 4 * words {
             let shrunk = &section[..section.len() - 4 * words];
-            assert_corrupt(&join_v2(&meta, shrunk), "a section shorter than the counts");
+            assert_corrupt(&join_v3(&meta, shrunk), "a section shorter than the counts");
         }
     }
 }

@@ -22,6 +22,13 @@ step "test" cargo test -q --workspace
 # sample and every exponent edge.
 step "fp16 sweep (release)" cargo test --release -q -p espresso-gc fp16
 
+# The engine's event loop against a test copy of the single-heap loop it
+# replaced (spans bit for bit: from scratch, faulted, resumed from delta
+# checkpoints), and the allocations per planner trial, with the debug
+# oracles off — the allocation counts are pinned in release builds only.
+step "event order (release)" cargo test --release -q -p espresso-sim \
+    --test event_order --test alloc_per_trial
+
 step "clippy (-D warnings)" cargo clippy --workspace --all-targets -- -D warnings
 
 # The end-to-end benchmark (e2ebench/) is a Cargo workspace of its own,

@@ -217,7 +217,18 @@ impl FromJson for RatioController {
     fn from_json(v: &Json) -> Result<Self, DecodeError> {
         let base: GcAlgorithm = v.req("base")?;
         let levels: Vec<usize> = v.req("levels")?;
-        let mut c = Self::with_levels(base, levels, v.req("cfg")?);
+        let mut c = Self::new(base, levels.len(), v.req("cfg")?);
+        // Decoded input, so an out-of-grid level is an error, not the
+        // panic `with_levels` reserves for a caller's bug.
+        if let Some(i) = levels.iter().position(|&k| k >= c.grid.len()) {
+            return Err(DecodeError::new(format!(
+                "level {} outside the {}-setting grid",
+                levels[i],
+                c.grid.len()
+            ))
+            .at(&format!("levels[{i}]")));
+        }
+        c.levels = levels;
         c.high_streaks = v.req("high_streaks")?;
         c.low_streaks = v.req("low_streaks")?;
         c.cooldowns = v.req("cooldowns")?;

@@ -112,6 +112,17 @@ impl Espresso {
     /// tensor to one compression to protect accuracy).
     pub fn with_constraints(job: Job, constraints: &Constraints) -> Self {
         let space = OptionSpace::enumerate_constrained(&job.cluster, constraints);
+        Self::with_space(job, space)
+    }
+
+    /// Builds a selector over an option space the caller already
+    /// enumerated for `job`'s cluster — the robust ensemble runs six
+    /// selections on one degraded cluster and enumerates its space once.
+    pub(crate) fn with_space(job: Job, space: OptionSpace) -> Self {
+        debug_assert!(
+            *space.cluster() == job.cluster,
+            "an option space is valid only for the cluster it was enumerated on"
+        );
         Self {
             job,
             space,

@@ -24,7 +24,7 @@
 use espresso_cluster::ClusterHealth;
 use espresso_models::{ModelProfile, TraceCollector};
 use espresso_sim::{FaultPlan, Job, SimConfig, Simulator};
-use espresso_strategy::Strategy;
+use espresso_strategy::{OptionSpace, Strategy};
 
 use crate::baselines::{self, Baseline};
 use crate::error::EspressoError;
@@ -274,15 +274,23 @@ impl RobustSelector {
         let names = ["nominal-espresso".to_string(), "degraded-espresso".to_string()]
             .into_iter()
             .chain((0..ensemble.len()).map(|s| format!("scenario-{s}-espresso")));
-        let jobs: Vec<Job> = nominal
+        // Every selection but the nominal one runs on the degraded
+        // cluster, so its option space is enumerated once and shared;
+        // `None` marks the nominal job, which enumerates its own.
+        let space = OptionSpace::enumerate(&degraded_cluster);
+        let jobs: Vec<(Job, Option<&OptionSpace>)> = nominal
             .is_none()
-            .then(|| self.job.clone())
+            .then(|| (self.job.clone(), None))
             .into_iter()
-            .chain([degraded_job])
-            .chain(ensemble.iter().cloned())
+            .chain([(degraded_job, Some(&space))])
+            .chain(ensemble.iter().map(|job| (job.clone(), Some(&space))))
             .collect();
-        let mut selections = pool.map(jobs, |job| {
-            Espresso::new(job)
+        let mut selections = pool.map(jobs, |(job, space)| {
+            let espresso = match space {
+                Some(space) => Espresso::with_space(job, space.clone()),
+                None => Espresso::new(job),
+            };
+            espresso
                 .with_config(self.config)
                 .select_strategy_with(mode, &EvalPool::new(1))
                 .0
@@ -295,27 +303,35 @@ impl RobustSelector {
             candidates.push((b.name().to_string(), b.strategy(&self.job)));
         }
 
-        // Price every candidate on every ensemble member: one prepared
-        // unit per (candidate, scenario) cell, fanned out across the
-        // pool and read back by index — candidate-major order, so the
-        // scores are byte-stable for any worker count.
+        // Price every distinct candidate on every ensemble member: one
+        // prepared unit per (candidate, scenario) cell, fanned out across
+        // the pool and read back by index — candidate-major order, so the
+        // scores are byte-stable for any worker count. Selections often
+        // agree (3% noise rarely moves the greedy search), and equal
+        // strategies price to equal bits, so each duplicate reads the
+        // times of its first occurrence.
         let sims: Vec<Simulator> = ensemble
             .iter()
             .map(|job| Simulator::new(job.clone(), self.config))
             .collect();
-        let units: Vec<espresso_sim::PreparedEval> = candidates
-            .iter()
-            .flat_map(|(_, strategy)| {
-                sims.iter().map(|sim| match &self.faults {
-                    None => sim.prepare(strategy),
-                    Some(plan) => sim.prepare_with_faults(strategy, Some(plan)),
-                })
-            })
-            .collect();
+        let mut rows: Vec<usize> = Vec::with_capacity(candidates.len());
+        let mut units: Vec<espresso_sim::PreparedEval> = Vec::new();
+        for (i, (_, strategy)) in candidates.iter().enumerate() {
+            if let Some(j) = candidates[..i].iter().position(|(_, s)| s == strategy) {
+                rows.push(rows[j]);
+                continue;
+            }
+            rows.push(units.len() / sims.len());
+            units.extend(sims.iter().map(|sim| match &self.faults {
+                None => sim.prepare(strategy),
+                Some(plan) => sim.prepare_with_faults(strategy, Some(plan)),
+            }));
+        }
         let times = pool.run(units);
+        let times: Vec<&[f64]> = times.chunks(sims.len()).collect();
         let mut scored: Vec<(CandidateScore, Strategy)> = candidates
             .into_iter()
-            .zip(times.chunks(sims.len()))
+            .zip(rows.iter().map(|&r| times[r]))
             .map(|((name, strategy), times)| {
                 let mean = times.iter().sum::<f64>() / times.len() as f64;
                 let worst = times.iter().cloned().fold(f64::NEG_INFINITY, f64::max);

@@ -9,9 +9,9 @@
 //! ## The compiled-plan fast path
 //!
 //! Strategy-search loops evaluate thousands of candidates against one
-//! job, and the evaluation cost is dominated by per-candidate allocation
+//! job. Built per candidate, a task graph would cost more in allocation
 //! (per-task predecessor vectors, successor lists, option-keyed cache
-//! lookups), not by event processing. The [`Simulator`] therefore
+//! lookups) than in event processing. The [`Simulator`] therefore
 //! compiles each distinct `(compression option, tensor size, algorithm)`
 //! into an interned [`Block`] — the tensor's task sub-graph with local
 //! predecessor indices — and assembles candidate timelines by
@@ -37,6 +37,13 @@
 //! * `F(S)` memoization ([`Simulator::iteration_time_memo`]) — exact
 //!   keying by the candidate's block-id sequence, so re-encounters of a
 //!   strategy (multi-pass sweeps, odometer overlap) cost a hash lookup.
+//!
+//! With those in place the event loop is the cost, so [`run_plan`] keeps
+//! it lean: ready events bypass the heap through a sorted FIFO, event
+//! keys are one `u128`, the resync check sorts nothing it can avoid and
+//! allocates nothing, and the abort bound's clock-free terms are cached
+//! between task starts. A trial that adds no memo entry allocates
+//! nothing (DESIGN.md §14.1).
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -50,6 +57,7 @@ use crate::{
     job::Job,
     result::{SimResult, Span, TaskRecord},
     task::{build_tasks, Resource, Task, TaskKind},
+    word_hash::WordMap,
 };
 
 /// Simulates one training iteration of `job` under `strategy`.
@@ -420,17 +428,19 @@ struct SimCache {
     /// Fast identity lookup: `(Arc pointer, elems, algo) -> block id`.
     /// Sound because `pinned` keeps every keyed `Arc` alive, so an
     /// address is never reused for a different option while cached.
-    by_ptr: std::collections::HashMap<(usize, usize, AlgoKey), u32>,
+    by_ptr: WordMap<(usize, usize, AlgoKey), u32>,
     /// Content lookup, consulted on pointer misses so re-materialized
-    /// options (e.g. `with_device` variants) dedup to one block.
+    /// options (e.g. `with_device` variants) dedup to one block. Keyed
+    /// by `(elems, algo)` first, so a lookup borrows the option rather
+    /// than cloning it into a key.
     by_content: std::collections::HashMap<
-        (espresso_strategy::CompressionOption, usize, AlgoKey),
-        u32,
+        (usize, AlgoKey),
+        std::collections::HashMap<espresso_strategy::CompressionOption, u32>,
     >,
     pinned: Vec<Arc<espresso_strategy::CompressionOption>>,
     blocks: Vec<Block>,
     /// Exact `F(S)` memo keyed by block-id sequence (fast path only).
-    memo: std::collections::HashMap<Vec<u32>, f64>,
+    memo: WordMap<Vec<u32>, f64>,
     ids: Vec<u32>,
     plan: Plan,
     scratch: EvalScratch,
@@ -439,11 +449,11 @@ struct SimCache {
 impl SimCache {
     fn new() -> Self {
         Self {
-            by_ptr: std::collections::HashMap::new(),
+            by_ptr: WordMap::default(),
             by_content: std::collections::HashMap::new(),
             pinned: Vec::new(),
             blocks: Vec::new(),
-            memo: std::collections::HashMap::new(),
+            memo: WordMap::default(),
             ids: Vec::new(),
             plan: Plan::default(),
             scratch: EvalScratch::default(),
@@ -464,14 +474,14 @@ impl SimCache {
         if let Some(&id) = self.by_ptr.get(&pkey) {
             return id;
         }
-        let ckey = ((**option).clone(), elems, akey);
-        let id = match self.by_content.get(&ckey) {
+        let options = self.by_content.entry((elems, akey)).or_default();
+        let id = match options.get(&**option) {
             Some(&id) => id,
             None => {
                 let id = self.blocks.len() as u32;
                 self.blocks
                     .push(Block::compile(job, option, elems, algo, config));
-                self.by_content.insert(ckey, id);
+                options.insert((**option).clone(), id);
                 id
             }
         };
@@ -715,8 +725,10 @@ impl RunOutcome {
 /// boundaries with a cached base checkpoint, and fail in O(1) on the
 /// clock in the common divergent case.
 struct ResyncState<'a> {
-    /// Cached base checkpoint (plus its future-completion max) by tensor.
-    lookup: &'a dyn Fn(u32) -> Option<(Arc<Checkpoint>, f64)>,
+    /// The cached base checkpoints (each with its future-completion max)
+    /// by tensor; a run never adds one, so the map is borrowed for the
+    /// run's whole length.
+    checkpoints: &'a std::collections::BTreeMap<u32, CpEntry>,
     /// The swapped tensor.
     idx: u32,
     /// First stage-task index of the swapped block (same in both plans).
@@ -746,44 +758,64 @@ impl ResyncState<'_> {
     /// Bitwise state equality of the trial scratch against a base
     /// checkpoint at the same boundary (the cheap `now` test has already
     /// passed). Conservative: any unmappable or reordered entry rejects.
-    fn states_match(&self, scratch: &EvalScratch, cp: &Checkpoint) -> bool {
-        if scratch.busy != cp.busy || scratch.heap.len() != cp.heap.len() {
+    ///
+    /// Allocation-free: the cheap tests (busy counts, pending count, the
+    /// resource FIFOs) run first, the checkpoint's events are sorted
+    /// already, and the trial's heap is sorted into a reusable buffer
+    /// then merged with its (sorted) ready FIFO.
+    fn states_match(&self, scratch: &mut EvalScratch, cp: &Checkpoint) -> bool {
+        if scratch.busy != cp.busy || scratch.pending() != cp.events.len() {
             return false;
         }
         let (s, e) = (self.s as usize, self.e as usize);
-        // Pending events: sort both by (time, seq) — each run's exact
-        // future pop order — and require the mapped sequences equal.
-        let mut th: Vec<EventKey> = scratch.heap.iter().map(|r| r.0).collect();
-        let mut bh: Vec<EventKey> = cp.heap.iter().map(|r| r.0).collect();
-        th.sort_unstable_by_key(|k| k.key);
-        bh.sort_unstable_by_key(|k| k.key);
-        for (x, y) in th.iter().zip(&bh) {
-            let bt = y.task() as usize;
-            if bt >= s && bt < e {
+        let in_block = |task: u32| (s..e).contains(&(task as usize));
+        for (tq, bq) in scratch.queues.iter().zip(&cp.queues) {
+            if tq.len() != bq.len() {
                 return false;
             }
-            if self.map(x.task()) != Some(y.task())
+            for (&x, &y) in tq.iter().zip(bq) {
+                if in_block(y) || self.map(x) != Some(y) {
+                    return false;
+                }
+            }
+        }
+        // Pending events in each run's exact future pop order (by key):
+        // the mapped sequences must be equal.
+        let EvalScratch {
+            heap,
+            ready,
+            ready_head,
+            sorted,
+            ..
+        } = scratch;
+        sorted.clear();
+        sorted.extend(heap.iter().map(|r| r.0));
+        sorted.sort_unstable();
+        let (mut h, mut r) = (
+            sorted.iter().peekable(),
+            ready[*ready_head..].iter().peekable(),
+        );
+        for y in &cp.events {
+            let x = match (h.peek(), r.peek()) {
+                (Some(&&a), Some(&&b)) if b < a => r.next(),
+                (Some(_), _) => h.next(),
+                (None, _) => r.next(),
+            };
+            let Some(x) = x else {
+                return false;
+            };
+            if in_block(y.task())
+                || self.map(x.task()) != Some(y.task())
                 || x.time().to_bits() != y.time().to_bits()
                 || x.is_finish() != y.is_finish()
             {
                 return false;
             }
         }
-        for (tq, bq) in scratch.queues.iter().zip(&cp.queues) {
-            if tq.len() != bq.len() {
-                return false;
-            }
-            for (&x, &y) in tq.iter().zip(bq) {
-                let by = y as usize;
-                if (by >= s && by < e) || self.map(x) != Some(y) {
-                    return false;
-                }
-            }
-        }
         // Indegrees: prefix verbatim, tail mapped across the shift. The
         // swapped block's own entries are skipped — neither side can have
-        // one of its tasks unfinished here (it would be pending in the
-        // heap or a queue, rejected above).
+        // one of its tasks unfinished here (it would be pending as an
+        // event or in a queue, rejected above).
         scratch.indegree[..s] == cp.indegree[..s]
             && scratch.indegree[self.e_t as usize..] == cp.indegree[e..]
     }
@@ -1174,16 +1206,57 @@ struct BoundState {
     busy_until: [f64; 4],
     /// `1 / cpu_slots` for the pooled resource's capacity scaling.
     inv_cpu_slots: f64,
+    /// `max(busy_until[r] + rem[r])` over the single-server resources.
+    horizon: f64,
+    /// `max(rem[r] / capacity[r])` over every resource.
+    work: f64,
 }
 
 impl BoundState {
+    fn new(threshold: f64, rem: [f64; 4], cpu_slots: usize) -> Self {
+        let mut b = BoundState {
+            threshold,
+            rem,
+            busy_until: [0.0; 4],
+            inv_cpu_slots: 1.0 / cpu_slots.max(1) as f64,
+            horizon: 0.0,
+            work: 0.0,
+        };
+        b.refresh();
+        b
+    }
+
+    /// Re-derives the two clock-free terms after a task start changed
+    /// `rem` and `busy_until`.
     #[inline]
-    fn lower_bound(&self, now: f64) -> f64 {
-        let g = self.busy_until[0].max(now) + self.rem[0];
-        let c = now + self.rem[1] * self.inv_cpu_slots;
-        let a = self.busy_until[2].max(now) + self.rem[2];
-        let e = self.busy_until[3].max(now) + self.rem[3];
-        g.max(c).max(a).max(e)
+    fn refresh(&mut self) {
+        let [g, c, a, e] = self.rem;
+        let u = self.busy_until;
+        self.horizon = fmax(fmax(u[0] + g, u[2] + a), u[3] + e);
+        self.work = fmax(fmax(g, c * self.inv_cpu_slots), fmax(a, e));
+    }
+
+    /// Whether the lower bound at clock `now` reaches the threshold. The
+    /// bound is `max over r of max(busy_until[r], now) + rem[r] / cap[r]`
+    /// (no busy horizon on the pool); rounding is monotone, so
+    /// `max(u, now) + x` is exactly `max(u + x, now + x)` and `now +
+    /// max(x)` is exactly `max(now + x)`. The bound therefore equals
+    /// `max(horizon, now + work)` bit for bit, and only the second term
+    /// moves between task starts.
+    #[inline]
+    fn reached(&self, now: f64) -> bool {
+        self.horizon >= self.threshold || now + self.work >= self.threshold
+    }
+}
+
+/// The larger of two finite floats: one compare, no NaN handling (the
+/// engine's times and durations are never NaN).
+#[inline]
+fn fmax(a: f64, b: f64) -> f64 {
+    if a >= b {
+        a
+    } else {
+        b
     }
 }
 
@@ -1412,13 +1485,9 @@ impl DeltaSim<'_> {
         let c = base_plan.compute_idx[idx] as usize;
         let old_len = cache.blocks[old_bid as usize].len();
         let new_len = cache.blocks[new_bid as usize].len();
+        let checkpoints = self.checkpoints.borrow();
         let rs = ResyncState {
-            lookup: &|tensor: u32| {
-                self.checkpoints
-                    .borrow()
-                    .get(&tensor)
-                    .map(|e| (e.cp.clone(), e.future_max))
-            },
+            checkpoints: &checkpoints,
             idx: idx as u32,
             s: c as u32 + 1,
             e: (c + 1 + old_len) as u32,
@@ -1429,9 +1498,7 @@ impl DeltaSim<'_> {
             // The entry's remaining-work vector, not the checkpoint's
             // own: rebase re-prices entries against the current base
             // while the snapshot keeps its original (now stale) sums.
-            let mut rem = self
-                .checkpoints
-                .borrow()
+            let mut rem = checkpoints
                 .get(&(idx as u32))
                 .expect("checkpoint(idx) just inserted this entry")
                 .remaining;
@@ -1440,12 +1507,11 @@ impl DeltaSim<'_> {
             for (r, (x, y)) in rem.iter_mut().zip(new_sums.iter().zip(old_sums)) {
                 *r += x - y;
             }
-            Some(BoundState {
-                threshold: threshold - self.sim.job.model.forward_time + 1e-9,
+            Some(BoundState::new(
+                threshold - self.sim.job.model.forward_time + 1e-9,
                 rem,
-                busy_until: [0.0; 4],
-                inv_cpu_slots: 1.0 / self.sim.config.cpu_slots.max(1) as f64,
-            })
+                self.sim.config.cpu_slots,
+            ))
         } else {
             None
         };
@@ -1981,9 +2047,9 @@ impl PreparedEval {
 /// the snapshot is at or before that compute task, so the snapshot is
 /// valid for any plan sharing that prefix (see the module docs).
 ///
-/// State is stored as plain arrays (the heap as its backing array, the
-/// FIFO queues in pop order) so restoring into an [`EvalScratch`] is a
-/// handful of `memcpy`s — no allocation at steady capacity.
+/// State is stored as plain arrays (the pending events sorted by key,
+/// the FIFO queues in pop order) so restoring into an [`EvalScratch`] is
+/// a handful of copies — no allocation at steady capacity.
 #[derive(Debug, Clone)]
 pub struct Checkpoint {
     /// Index of the compute task whose finish is pending; state indices
@@ -1998,18 +2064,20 @@ pub struct Checkpoint {
     /// Max span end among tasks already started at the snapshot — seeds
     /// the resumed run's online makespan tracking.
     prefix_max: f64,
-    /// The event heap's backing array (a valid binary-heap layout;
-    /// re-heapifying it is a no-op that preserves the array).
-    heap: Vec<Reverse<EventKey>>,
-    seq: u64,
+    /// Every pending event — the heap's finish events and the ready
+    /// FIFO's entries alike — sorted by key, i.e. in the exact order the
+    /// run would pop them. Sorted once here so the resync check and the
+    /// restore read it without sorting.
+    events: Vec<EventKey>,
+    seq: u32,
     queues: [Vec<u32>; 4],
     busy: [usize; 4],
     spans: Vec<Span>,
     indegree: Vec<u32>,
 }
 
-/// Reusable evaluation buffers: indegrees, spans, event heap, and FIFO
-/// queues. One per evaluating thread.
+/// Reusable evaluation buffers: indegrees, spans, pending events, and
+/// FIFO queues. One per evaluating thread.
 #[derive(Default)]
 pub struct EvalScratch {
     indegree: Vec<u32>,
@@ -2018,48 +2086,95 @@ pub struct EvalScratch {
     /// Running max task end of the last run — the makespan on
     /// completion, maintained online so callers skip the O(n) fold.
     max_end: f64,
+    /// Pending finish events.
     heap: BinaryHeap<Reverse<EventKey>>,
+    /// Pending ready events, `ready[ready_head..]`. A task becomes ready
+    /// at the current clock with the next sequence number; the clock
+    /// never goes back and `seq` only grows, so these keys arrive in
+    /// increasing order and a FIFO holds them sorted. The next event is
+    /// the smaller of the heap top and the FIFO front; keys are unique,
+    /// so the pop order is exactly that of one heap holding both.
+    ready: Vec<EventKey>,
+    ready_head: usize,
     queues: [VecDeque<u32>; 4],
     busy: [usize; 4],
+    /// The resync check's sort buffer for the heap's events.
+    sorted: Vec<EventKey>,
 }
 
-/// One heap entry, packed for single-compare ordering: the high 64 bits
-/// are the event time's IEEE-754 bits (times are non-negative and finite,
-/// where `total_cmp` coincides with unsigned bit order), the low 64 bits
-/// the push sequence number — unique, so ties never fall through to the
-/// payload. The payload is `task_index << 1 | is_finish`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct EventKey {
-    key: u128,
-    code: u32,
+impl EvalScratch {
+    /// The next event to pop, and whether it heads the ready FIFO.
+    #[inline]
+    fn peek_event(&self) -> Option<(EventKey, bool)> {
+        let ready = self.ready.get(self.ready_head).copied();
+        match (self.heap.peek(), ready) {
+            (Some(&Reverse(h)), Some(r)) => Some(if r < h { (r, true) } else { (h, false) }),
+            (Some(&Reverse(h)), None) => Some((h, false)),
+            (None, Some(r)) => Some((r, true)),
+            (None, None) => None,
+        }
+    }
+
+    /// Removes the event [`EvalScratch::peek_event`] returned.
+    #[inline]
+    fn pop_event(&mut self, from_ready: bool) {
+        if from_ready {
+            self.ready_head += 1;
+            // Drained: start over, so the FIFO's storage stays as small
+            // as the most ready events ever pending at once.
+            if self.ready_head == self.ready.len() {
+                self.ready.clear();
+                self.ready_head = 0;
+            }
+        } else {
+            self.heap.pop();
+        }
+    }
+
+    /// The number of pending events.
+    fn pending(&self) -> usize {
+        self.heap.len() + self.ready.len() - self.ready_head
+    }
 }
+
+/// One pending event, packed into 16 bytes for single-compare ordering:
+/// bits 64..128 are the event time's IEEE-754 bits (times are
+/// non-negative and finite, where `total_cmp` coincides with unsigned bit
+/// order), bits 32..64 the push sequence number — unique, so ties never
+/// fall through to the payload — and bits 0..32 the payload
+/// `task_index << 1 | is_finish`. A run pushes exactly one ready and one
+/// finish event per task, so `seq < 2 * tasks`, which [`run_plan`] checks
+/// fits in 32 bits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct EventKey(u128);
 
 impl EventKey {
     #[inline]
-    fn new(time: f64, seq: u64, task: u32, finish: bool) -> Self {
+    fn new(time: f64, seq: u32, task: u32, finish: bool) -> Self {
         debug_assert!(
             time.is_finite() && !time.is_sign_negative(),
             "event time {time} breaks the bit-order trick"
         );
-        Self {
-            key: ((time.to_bits() as u128) << 64) | seq as u128,
-            code: (task << 1) | finish as u32,
-        }
+        Self(
+            ((time.to_bits() as u128) << 64)
+                | ((seq as u128) << 32)
+                | ((task << 1) | finish as u32) as u128,
+        )
     }
 
     #[inline]
     fn time(self) -> f64 {
-        f64::from_bits((self.key >> 64) as u64)
+        f64::from_bits((self.0 >> 64) as u64)
     }
 
     #[inline]
     fn task(self) -> u32 {
-        self.code >> 1
+        self.0 as u32 >> 1
     }
 
     #[inline]
     fn is_finish(self) -> bool {
-        self.code & 1 == 1
+        self.0 & 1 == 1
     }
 }
 
@@ -2082,7 +2197,7 @@ fn resource_idx(res: Resource) -> usize {
 ///
 /// `resume` restores a [`Checkpoint`] instead of starting from `t = 0`;
 /// `pause_at` stops the loop the moment the finish event of the given
-/// task index reaches the head of the heap and returns the state as a
+/// task index is the next event to pop and returns the state as a
 /// [`RunOutcome::Paused`] checkpoint; `resync` arms the single-swap
 /// early-exit (see [`ResyncState`]), which may end the run with
 /// [`RunOutcome::Resynced`] and the exact final makespan; `bound` arms
@@ -2128,14 +2243,21 @@ fn run_plan(
     scratch.spans.clear();
     scratch.indegree.clear();
     // The heap's backing storage is recycled through the BinaryHeap <->
-    // Vec round trip (both directions are allocation-free at capacity;
-    // heapifying an already-valid heap array leaves it untouched).
+    // Vec round trip (both directions are allocation-free at capacity).
     let mut heap_vec = std::mem::take(&mut scratch.heap).into_vec();
     heap_vec.clear();
+    scratch.ready.clear();
+    scratch.ready_head = 0;
     for q in &mut scratch.queues {
         q.clear();
     }
-    let mut seq;
+    // Every task pushes one ready and one finish event, so the sequence
+    // numbers stay below `2 * n` and the payload `task << 1` fits too.
+    assert!(
+        n < 1 << 31,
+        "a plan of {n} tasks overflows the 32-bit event sequence"
+    );
+    let mut seq: u32;
     match resume {
         None => {
             scratch.spans.resize(
@@ -2150,17 +2272,14 @@ fn run_plan(
                 .extend((0..n).map(|i| plan.pred_count(i)));
             scratch.busy = [0; 4];
             scratch.max_end = 0.0;
-            seq = 0u64;
-            scratch.heap = BinaryHeap::from(heap_vec);
+            seq = 0;
             // Roots (tasks with no predecessor) are ready at t = 0. Push
             // in index order so the first compute task heads the GPU
             // queue.
             for i in 0..n {
                 if plan.pred_count(i) == 0 {
                     debug_assert!(matches!(plan.meta[i].resource, Resource::Gpu));
-                    scratch
-                        .heap
-                        .push(Reverse(EventKey::new(0.0, seq, i as u32, false)));
+                    scratch.ready.push(EventKey::new(0.0, seq, i as u32, false));
                     seq += 1;
                 }
             }
@@ -2185,8 +2304,15 @@ fn run_plan(
             scratch
                 .indegree
                 .extend((prefix + 1..n).map(|i| plan.pred_count(i)));
-            heap_vec.extend_from_slice(&cp.heap);
-            scratch.heap = BinaryHeap::from(heap_vec);
+            // The sorted events split back into a sorted ready FIFO and
+            // an ascending heap array — already a valid heap layout.
+            for &ev in &cp.events {
+                if ev.is_finish() {
+                    heap_vec.push(Reverse(ev));
+                } else {
+                    scratch.ready.push(ev);
+                }
+            }
             for (q, saved) in scratch.queues.iter_mut().zip(&cp.queues) {
                 q.extend(saved.iter().copied());
             }
@@ -2195,6 +2321,7 @@ fn run_plan(
             seq = cp.seq;
         }
     }
+    scratch.heap = BinaryHeap::from(heap_vec);
 
     debug_assert!(
         pause_at.is_none() || resync.is_none(),
@@ -2204,60 +2331,55 @@ fn run_plan(
         bound.is_none() || faults.is_none(),
         "the abort bound prices remaining work at nominal durations"
     );
-    loop {
+    while let Some((ev, from_ready)) = scratch.peek_event() {
         if let Some(pause) = pause_at {
-            if let Some(Reverse(ev)) = scratch.heap.peek() {
-                if ev.is_finish() && ev.task() == pause {
-                    debug_assert!(
-                        faults.is_none(),
-                        "checkpoints price remaining work at nominal durations"
-                    );
-                    let mut remaining = [0.0f64; 4];
-                    let mut prefix_max = 0.0f64;
-                    for (m, s) in plan.meta.iter().zip(&scratch.spans) {
-                        if s.start.is_nan() {
-                            remaining[resource_idx(m.resource)] += m.duration;
-                        } else {
-                            prefix_max = prefix_max.max(s.end);
-                        }
+            if ev.is_finish() && ev.task() == pause {
+                debug_assert!(
+                    faults.is_none(),
+                    "checkpoints price remaining work at nominal durations"
+                );
+                let mut remaining = [0.0f64; 4];
+                let mut prefix_max = 0.0f64;
+                for (m, s) in plan.meta.iter().zip(&scratch.spans) {
+                    if s.start.is_nan() {
+                        remaining[resource_idx(m.resource)] += m.duration;
+                    } else {
+                        prefix_max = prefix_max.max(s.end);
                     }
-                    return RunOutcome::Paused(Checkpoint {
-                        prefix_end: pause,
-                        now: ev.time(),
-                        remaining,
-                        prefix_max,
-                        heap: scratch.heap.clone().into_vec(),
-                        seq,
-                        queues: std::array::from_fn(|ri| {
-                            scratch.queues[ri].iter().copied().collect()
-                        }),
-                        busy: scratch.busy,
-                        spans: scratch.spans.clone(),
-                        indegree: scratch.indegree.clone(),
-                    });
                 }
+                let mut events: Vec<EventKey> = scratch.heap.iter().map(|r| r.0).collect();
+                events.extend_from_slice(&scratch.ready[scratch.ready_head..]);
+                events.sort_unstable();
+                return RunOutcome::Paused(Checkpoint {
+                    prefix_end: pause,
+                    now: ev.time(),
+                    remaining,
+                    prefix_max,
+                    events,
+                    seq,
+                    queues: std::array::from_fn(|ri| {
+                        scratch.queues[ri].iter().copied().collect()
+                    }),
+                    busy: scratch.busy,
+                    spans: scratch.spans.clone(),
+                    indegree: scratch.indegree.clone(),
+                });
             }
         } else if let Some(rs) = resync {
-            if let Some(&Reverse(ev)) = scratch.heap.peek() {
-                if ev.is_finish() {
-                    let m = &plan.meta[ev.task() as usize];
-                    if m.kind == TaskKind::Compute && m.tensor > rs.idx {
-                        if let Some((cp, future_max)) = (rs.lookup)(m.tensor) {
-                            if cp.now.to_bits() == ev.time().to_bits()
-                                && rs.states_match(scratch, &cp)
-                            {
-                                return RunOutcome::Resynced(
-                                    scratch.max_end.max(future_max),
-                                );
-                            }
+            if ev.is_finish() {
+                let m = &plan.meta[ev.task() as usize];
+                if m.kind == TaskKind::Compute && m.tensor > rs.idx {
+                    if let Some(entry) = rs.checkpoints.get(&m.tensor) {
+                        if entry.cp.now.to_bits() == ev.time().to_bits()
+                            && rs.states_match(scratch, &entry.cp)
+                        {
+                            return RunOutcome::Resynced(scratch.max_end.max(entry.future_max));
                         }
                     }
                 }
             }
         }
-        let Some(Reverse(ev)) = scratch.heap.pop() else {
-            break;
-        };
+        scratch.pop_event(from_ready);
         let now = ev.time();
         let i = ev.task();
         let ri = resource_idx(plan.meta[i as usize].resource);
@@ -2268,9 +2390,7 @@ fn run_plan(
                 let s = su as usize;
                 scratch.indegree[s] -= 1;
                 if scratch.indegree[s] == 0 {
-                    scratch
-                        .heap
-                        .push(Reverse(EventKey::new(now, seq, s as u32, false)));
+                    scratch.ready.push(EventKey::new(now, seq, su, false));
                     seq += 1;
                 }
             }
@@ -2284,7 +2404,7 @@ fn run_plan(
                 let start = now;
                 let end = start + service(task as usize, start);
                 scratch.spans[task as usize] = Span { start, end };
-                scratch.max_end = scratch.max_end.max(end);
+                scratch.max_end = fmax(scratch.max_end, end);
                 scratch
                     .heap
                     .push(Reverse(EventKey::new(end, seq, task, true)));
@@ -2294,11 +2414,12 @@ fn run_plan(
                     if end > b.busy_until[ri] {
                         b.busy_until[ri] = end;
                     }
+                    b.refresh();
                 }
             }
         }
         if let Some(b) = bound.as_deref() {
-            if b.lower_bound(now) >= b.threshold {
+            if b.reached(now) {
                 return RunOutcome::Aborted;
             }
         }

@@ -38,6 +38,7 @@ pub mod gantt;
 pub mod job;
 pub mod result;
 pub mod task;
+mod word_hash;
 
 pub use audit::{audit, audit_tasks, Violation};
 pub use config::SimConfig;

@@ -1082,6 +1082,45 @@ mod tests {
         file
     }
 
+    /// A checksum-valid v3 file whose ratio controller names a grid level
+    /// that does not exist: the decoder answers `Corrupt` (so the store
+    /// falls back a generation) rather than panicking.
+    #[test]
+    fn out_of_grid_controller_level_is_corrupt_not_a_panic() {
+        let v3 = encode_file(&sample_state());
+        let payload = payload(&v3);
+        let header = std::str::from_utf8(&v3[..v3.len() - payload.len() - 1]).unwrap();
+        let meta_len: usize = header
+            .split(' ')
+            .find_map(|f| f.strip_prefix("meta="))
+            .unwrap()
+            .parse()
+            .unwrap();
+        let (meta, tensors) = payload.split_at(meta_len);
+        let meta = std::str::from_utf8(meta).unwrap();
+        let at = meta.find("\"levels\":[").unwrap() + "\"levels\":[".len();
+        let end = at + meta[at..].find([',', ']']).unwrap();
+        let meta = format!("{}999{}", &meta[..at], &meta[end..]);
+        let mut sum = Lane64::new();
+        sum.update(meta.as_bytes());
+        sum.update(tensors);
+        let mut file = header_v3(
+            (meta.len() + tensors.len()) as u64,
+            meta.len() as u64,
+            sum.finish(),
+        )
+        .into_bytes();
+        file.push(b'\n');
+        file.extend_from_slice(meta.as_bytes());
+        file.extend_from_slice(tensors);
+        match decode_file(&file) {
+            Err(CheckpointError::Corrupt { message }) => {
+                assert!(message.contains("levels"), "{message}");
+            }
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+    }
+
     #[test]
     fn v2_files_still_decode() {
         let state = sample_state();

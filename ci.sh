@@ -24,10 +24,12 @@ step "fp16 sweep (release)" cargo test --release -q -p espresso-gc fp16
 
 # The engine's event loop against a test copy of the single-heap loop it
 # replaced (spans bit for bit: from scratch, faulted, resumed from delta
-# checkpoints), and the allocations per planner trial, with the debug
-# oracles off — the allocation counts are pinned in release builds only.
+# checkpoints), the allocations per planner trial and per compiled block,
+# with the debug oracles off — the allocation counts are pinned in
+# release builds only — and the direct block compile against the
+# historical task expansion over every option (debug builds sample).
 step "event order (release)" cargo test --release -q -p espresso-sim \
-    --test event_order --test alloc_per_trial
+    --test event_order --test alloc_per_trial --test compile_oracle
 
 step "clippy (-D warnings)" cargo clippy --workspace --all-targets -- -D warnings
 

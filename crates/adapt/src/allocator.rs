@@ -351,8 +351,8 @@ mod tests {
         let job = Job::new(model.profile(), Cluster::pcie_25g(2, 2), algo);
         let option = OptionSpace::enumerate(&job.cluster)
             .gpu_compressed()
-            .into_iter()
-            .next()
+            .first()
+            .cloned()
             .expect("a GPU-compressed option exists");
         let strategy = Strategy::uniform(job.num_tensors(), option);
         let curves = measure_curves(&job.model, algo, 42);
@@ -408,8 +408,8 @@ mod tests {
         let space = OptionSpace::enumerate(&cluster);
         let compressed = space
             .gpu_compressed()
-            .into_iter()
-            .next()
+            .first()
+            .cloned()
             .expect("a compressed option");
         let uncompressed = space
             .uncompressed()

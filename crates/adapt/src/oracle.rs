@@ -127,8 +127,8 @@ mod tests {
         let job = Job::new(tiny_model(), Cluster::pcie_25g(2, 2), algo);
         let option = OptionSpace::enumerate(&job.cluster)
             .gpu_compressed()
-            .into_iter()
-            .next()
+            .first()
+            .cloned()
             .expect("a GPU-compressed option");
         let strategy = Strategy::uniform(job.num_tensors(), option);
         let curves = measure_curves(&job.model, algo, 11);

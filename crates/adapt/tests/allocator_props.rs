@@ -37,8 +37,8 @@ fn setup(seed: u64, scale: usize) -> (Simulator, Strategy, Vec<espresso_adapt::T
     let job = Job::new(tiny_model(scale), Cluster::pcie_25g(2, 2), algo);
     let option = OptionSpace::enumerate(&job.cluster)
         .gpu_compressed()
-        .into_iter()
-        .next()
+        .first()
+        .cloned()
         .expect("a GPU-compressed option");
     let strategy = Strategy::uniform(job.num_tensors(), option);
     let curves = measure_curves(&job.model, algo, seed);

@@ -118,8 +118,8 @@ pub fn run(config: &AdaptConfig) -> AdaptReport {
         job.algo = tunable_algo(job.algo);
         let option = OptionSpace::enumerate(&job.cluster)
             .gpu_compressed()
-            .into_iter()
-            .next()
+            .first()
+            .cloned()
             .expect("small clusters always offer a GPU-compressed option");
         let strategy = Strategy::uniform(job.num_tensors(), option);
         let curves = measure_curves(&job.model, job.algo, seed);

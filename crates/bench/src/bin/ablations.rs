@@ -20,7 +20,7 @@ use espresso_strategy::OptionSpace;
 fn espresso_time(job: &espresso_sim::Job, config: &SimConfig) -> f64 {
     let sim = Simulator::new(job.clone(), *config);
     let space = OptionSpace::enumerate(&job.cluster);
-    let g = gpu::decide_with_simulator(&sim, &space.gpu_compressed());
+    let g = gpu::decide_with_simulator(&sim, space.gpu_compressed());
     offload::decide_with_simulator(&sim, &g.strategy, 100_000).iteration_time
 }
 

@@ -23,7 +23,7 @@ fn main() {
         let space = OptionSpace::enumerate(&job.cluster);
         let est = brute::estimate_full_search_seconds(
             &job,
-            &space.gpu_compressed(),
+            space.gpu_compressed(),
             &SimConfig::default(),
             20,
         );

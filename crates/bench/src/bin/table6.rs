@@ -20,7 +20,7 @@ fn main() {
         let job = runner::job(m, Testbed::Nvlink100G, 8, GcAlgorithm::randomk_1pct());
         let sim = Simulator::new(job.clone(), SimConfig::default());
         let space = OptionSpace::enumerate(&job.cluster);
-        let g = gpu::decide_with_simulator(&sim, &space.gpu_compressed());
+        let g = gpu::decide_with_simulator(&sim, space.gpu_compressed());
         let n_off = g.strategy.num_compressed();
         let t0 = std::time::Instant::now();
         let off = offload::decide_with_simulator(&sim, &g.strategy, 150_000);

@@ -329,16 +329,10 @@ impl Crippled {
     pub fn candidates(self, job: &Job) -> Vec<Arc<CompressionOption>> {
         let space = espresso_strategy::OptionSpace::enumerate(&job.cluster);
         match self {
-            Crippled::AllCompression
-            | Crippled::MyopicCompression
-            | Crippled::GpuOnly => space.gpu_compressed(),
-            Crippled::CpuOnly => space
-                .compressed()
-                .into_iter()
-                .map(|o| o.with_device(Device::Cpu))
-                .collect::<std::collections::BTreeSet<_>>()
-                .into_iter()
-                .collect(),
+            Crippled::AllCompression | Crippled::MyopicCompression | Crippled::GpuOnly => {
+                space.gpu_compressed().to_vec()
+            }
+            Crippled::CpuOnly => space.cpu_variants().to_vec(),
             Crippled::InterAllgather => vec![inter_compressed_option(job, Device::Gpu)],
             Crippled::InterAlltoall => vec![Self::inter_alltoall_option(job, Device::Gpu)],
             Crippled::AlltoallAlltoall => vec![Self::alltoall_alltoall_option(job, Device::Gpu)],

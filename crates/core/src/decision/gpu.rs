@@ -57,7 +57,7 @@ pub fn default_pattern(job: &Job) -> CommPattern {
 /// Runs Algorithm 1 with the GPU-only candidate set `C_gpu` drawn from
 /// `space`.
 pub fn decide(job: &Job, space: &OptionSpace, config: &SimConfig) -> GpuDecision {
-    decide_with_candidates(job, &space.gpu_compressed(), config)
+    decide_with_candidates(job, space.gpu_compressed(), config)
 }
 
 /// Runs the Algorithm 1 loop with an arbitrary compressed-candidate set —
@@ -441,7 +441,7 @@ mod tests {
         let j = job();
         let space = OptionSpace::enumerate(&j.cluster);
         let gpu = space.gpu_compressed();
-        let dd = dedup_for_size(&gpu, 1_000_000, &j);
+        let dd = dedup_for_size(gpu, 1_000_000, &j);
         assert!(!dd.is_empty());
         assert!(dd.len() <= gpu.len());
     }

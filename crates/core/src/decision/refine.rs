@@ -18,7 +18,6 @@
 
 use std::sync::Arc;
 
-use espresso_gc::Device;
 use espresso_sim::{Simulator, TrialCounts};
 use espresso_strategy::{CompressionOption, Strategy};
 
@@ -38,23 +37,16 @@ pub struct RefineDecision {
     pub trials: TrialCounts,
 }
 
-/// Runs the CPU backfill over `base`, drawing candidates from
-/// `compressed_options` (each moved wholly to the CPU).
+/// Runs the CPU backfill over `base`, offering each uncompressed tensor
+/// the candidates `cpu` — the space's deduplicated CPU variants
+/// ([`espresso_strategy::OptionSpace::cpu_variants`]), in order.
 pub fn cpu_backfill(
     sim: &Simulator,
     base: &Strategy,
-    compressed_options: &[Arc<CompressionOption>],
+    cpu: &[Arc<CompressionOption>],
 ) -> RefineDecision {
     let job = sim.job();
     let n = job.num_tensors();
-    // CPU variants, deduplicated.
-    let mut cpu: Vec<Arc<CompressionOption>> = compressed_options
-        .iter()
-        .map(|o| o.with_device(Device::Cpu))
-        .collect::<std::collections::BTreeSet<_>>()
-        .into_iter()
-        .collect();
-    cpu.retain(|o| o.compresses());
 
     let mut order: Vec<usize> = (0..n).collect();
     order.sort_by(|&a, &b| {
@@ -71,7 +63,7 @@ pub fn cpu_backfill(
             continue;
         }
         let mut best_option: Option<Arc<CompressionOption>> = None;
-        for cand in &cpu {
+        for cand in cpu {
             let mut trial = strategy.clone();
             trial.set_option(idx, cand.clone());
             let t = sim.iteration_time(&trial);
@@ -105,18 +97,11 @@ pub fn cpu_backfill(
 pub fn cpu_backfill_fast(
     sim: &Simulator,
     base: &Strategy,
-    compressed_options: &[Arc<CompressionOption>],
+    cpu: &[Arc<CompressionOption>],
     pool: &crate::parallel::EvalPool,
 ) -> RefineDecision {
     let job = sim.job();
     let n = job.num_tensors();
-    let mut cpu: Vec<Arc<CompressionOption>> = compressed_options
-        .iter()
-        .map(|o| o.with_device(Device::Cpu))
-        .collect::<std::collections::BTreeSet<_>>()
-        .into_iter()
-        .collect();
-    cpu.retain(|o| o.compresses());
 
     let mut order: Vec<usize> = (0..n).collect();
     order.sort_by(|&a, &b| {
@@ -137,7 +122,7 @@ pub fn cpu_backfill_fast(
             &delta,
             &strategy,
             idx,
-            &cpu,
+            cpu,
             false,
             pool,
             &mut best_time,
@@ -177,9 +162,9 @@ mod tests {
         );
         let sim = Simulator::new(job.clone(), SimConfig::default());
         let space = OptionSpace::enumerate(&job.cluster);
-        let g = gpu::decide_with_simulator(&sim, &space.gpu_compressed());
+        let g = gpu::decide_with_simulator(&sim, space.gpu_compressed());
         let off = offload::decide_with_simulator(&sim, &g.strategy, 100_000);
-        let refined = cpu_backfill(&sim, &off.strategy, &space.compressed());
+        let refined = cpu_backfill(&sim, &off.strategy, space.cpu_variants());
         assert!(refined.iteration_time <= off.iteration_time + 1e-12);
         for &t in &refined.backfilled {
             assert!(!off.strategy.option(t).compresses());
@@ -202,9 +187,9 @@ mod tests {
         let sim = Simulator::new(job.clone(), SimConfig::default());
         let space = OptionSpace::enumerate(&job.cluster);
         let pool = crate::parallel::EvalPool::new(1);
-        let g = gpu::decide_fast(&sim, &space.gpu_compressed(), &pool);
+        let g = gpu::decide_fast(&sim, space.gpu_compressed(), &pool);
         let off = offload::decide_fast(&sim, &g.strategy, 150_000);
-        let refined = cpu_backfill_fast(&sim, &off.strategy, &space.compressed(), &pool);
+        let refined = cpu_backfill_fast(&sim, &off.strategy, space.cpu_variants(), &pool);
         let t = refined.trials;
         let certified = t.pruned_static + t.pruned_pin;
         assert!(t.trials() > 1000, "{t:?}");
@@ -228,7 +213,7 @@ mod tests {
             job.num_tensors(),
             space.gpu_compressed()[0].clone(),
         );
-        let refined = cpu_backfill(&sim, &all, &space.compressed());
+        let refined = cpu_backfill(&sim, &all, space.cpu_variants());
         assert!(refined.backfilled.is_empty());
         assert_eq!(refined.strategy, all);
     }

@@ -101,8 +101,9 @@ pub struct Espresso {
 }
 
 impl Espresso {
-    /// Builds a selector for `job`, enumerating the option space for its
-    /// cluster.
+    /// Builds a selector for `job` over the option space of its cluster
+    /// (enumerated once per cluster shape per process; see
+    /// [`OptionSpace::enumerate_constrained`]).
     pub fn new(job: Job) -> Self {
         Self::with_constraints(job, &Constraints::default())
     }
@@ -111,21 +112,9 @@ impl Espresso {
     /// `constraints` — the section 4.2.2 extension point (e.g. limit each
     /// tensor to one compression to protect accuracy).
     pub fn with_constraints(job: Job, constraints: &Constraints) -> Self {
-        let space = OptionSpace::enumerate_constrained(&job.cluster, constraints);
-        Self::with_space(job, space)
-    }
-
-    /// Builds a selector over an option space the caller already
-    /// enumerated for `job`'s cluster — the robust ensemble runs six
-    /// selections on one degraded cluster and enumerates its space once.
-    pub(crate) fn with_space(job: Job, space: OptionSpace) -> Self {
-        debug_assert!(
-            *space.cluster() == job.cluster,
-            "an option space is valid only for the cluster it was enumerated on"
-        );
         Self {
+            space: OptionSpace::enumerate_constrained(&job.cluster, constraints),
             job,
-            space,
             config: SimConfig::default(),
             max_offload_combinations: 150_000,
         }
@@ -167,10 +156,8 @@ impl Espresso {
         let sim = Simulator::new(self.job.clone(), self.config);
         let t0 = Instant::now();
         let gpu_decision = match mode {
-            PlannerMode::Reference => {
-                gpu::decide_with_simulator(&sim, &self.space.gpu_compressed())
-            }
-            PlannerMode::Fast => gpu::decide_fast(&sim, &self.space.gpu_compressed(), pool),
+            PlannerMode::Reference => gpu::decide_with_simulator(&sim, self.space.gpu_compressed()),
+            PlannerMode::Fast => gpu::decide_fast(&sim, self.space.gpu_compressed(), pool),
         };
         let gpu_decision_seconds = t0.elapsed().as_secs_f64();
 
@@ -190,10 +177,10 @@ impl Espresso {
         let t2 = Instant::now();
         let refined = match mode {
             PlannerMode::Reference => {
-                refine::cpu_backfill(&sim, &off.strategy, &self.space.compressed())
+                refine::cpu_backfill(&sim, &off.strategy, self.space.cpu_variants())
             }
             PlannerMode::Fast => {
-                refine::cpu_backfill_fast(&sim, &off.strategy, &self.space.compressed(), pool)
+                refine::cpu_backfill_fast(&sim, &off.strategy, self.space.cpu_variants(), pool)
             }
         };
         let backfill_seconds = t2.elapsed().as_secs_f64();

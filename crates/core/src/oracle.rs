@@ -243,7 +243,7 @@ mod tests {
         let gpu_opts = space.gpu_compressed();
         candidates.extend(gpu_opts.iter().take(5).cloned());
         let brute = search(&job, &candidates, &config, 100_000);
-        let esp = gpu::decide_with_candidates(&job, &gpu_opts, &config);
+        let esp = gpu::decide_with_candidates(&job, gpu_opts, &config);
         let gap = (esp.iteration_time - brute.iteration_time) / brute.iteration_time;
         // Espresso searches a *larger* candidate set than this truncated
         // brute force, so it may even win; it must never lose by much.
@@ -255,7 +255,7 @@ mod tests {
         let job = toy_job();
         let config = SimConfig::default();
         let space = OptionSpace::enumerate(&job.cluster);
-        let candidates: Vec<_> = space.gpu_compressed().into_iter().take(3).collect();
+        let candidates: Vec<_> = space.gpu_compressed()[..3].to_vec();
         let brute = search(&job, &candidates, &config, 100_000);
         for c in &candidates {
             let uniform = Strategy::uniform(job.num_tensors(), c.clone());
@@ -288,7 +288,7 @@ mod tests {
     fn estimate_extrapolates_exponentially() {
         let job = toy_job();
         let space = OptionSpace::enumerate(&job.cluster);
-        let candidates: Vec<_> = space.gpu_compressed().into_iter().take(4).collect();
+        let candidates: Vec<_> = space.gpu_compressed()[..4].to_vec();
         let est = estimate_full_search_seconds(&job, &candidates, &SimConfig::default(), 5);
         assert!(est > 0.0 && est.is_finite());
     }
@@ -299,6 +299,6 @@ mod tests {
         let job = toy_job();
         let space = OptionSpace::enumerate(&job.cluster);
         let candidates = space.gpu_compressed();
-        let _ = search(&job, &candidates, &SimConfig::default(), 10);
+        let _ = search(&job, candidates, &SimConfig::default(), 10);
     }
 }

@@ -24,7 +24,7 @@
 use espresso_cluster::ClusterHealth;
 use espresso_models::{ModelProfile, TraceCollector};
 use espresso_sim::{FaultPlan, Job, SimConfig, Simulator};
-use espresso_strategy::{OptionSpace, Strategy};
+use espresso_strategy::Strategy;
 
 use crate::baselines::{self, Baseline};
 use crate::error::EspressoError;
@@ -274,23 +274,15 @@ impl RobustSelector {
         let names = ["nominal-espresso".to_string(), "degraded-espresso".to_string()]
             .into_iter()
             .chain((0..ensemble.len()).map(|s| format!("scenario-{s}-espresso")));
-        // Every selection but the nominal one runs on the degraded
-        // cluster, so its option space is enumerated once and shared;
-        // `None` marks the nominal job, which enumerates its own.
-        let space = OptionSpace::enumerate(&degraded_cluster);
-        let jobs: Vec<(Job, Option<&OptionSpace>)> = nominal
+        let jobs: Vec<Job> = nominal
             .is_none()
-            .then(|| (self.job.clone(), None))
+            .then(|| self.job.clone())
             .into_iter()
-            .chain([(degraded_job, Some(&space))])
-            .chain(ensemble.iter().map(|job| (job.clone(), Some(&space))))
+            .chain([degraded_job])
+            .chain(ensemble.iter().cloned())
             .collect();
-        let mut selections = pool.map(jobs, |(job, space)| {
-            let espresso = match space {
-                Some(space) => Espresso::with_space(job, space.clone()),
-                None => Espresso::new(job),
-            };
-            espresso
+        let mut selections = pool.map(jobs, |job| {
+            Espresso::new(job)
                 .with_config(self.config)
                 .select_strategy_with(mode, &EvalPool::new(1))
                 .0

@@ -21,6 +21,22 @@
 //! timelines are byte-for-byte unchanged (the golden-trace suite pins
 //! this).
 //!
+//! A block compiles straight from the tensor's [`crate::task::Stage`]
+//! list ([`Block::from_stages`]): a stage's pieces are contiguous, so the
+//! frontier is an index range, every array is sized from the piece and
+//! edge counts before it is filled, and nothing is allocated per task
+//! (`tests/compile_oracle.rs` holds it to the historical expansion bit
+//! for bit). Each simulator interns its own blocks. An option handed out
+//! by an [`espresso_strategy::OptionSpace`] carries a dense index into
+//! the process-wide option table
+//! ([`espresso_strategy::CompressionOption::table_index`]), and the
+//! interner keys it by `(index, elems, algorithm)`: a miss compiles
+//! without hashing, cloning or pinning the option. Any other option — a
+//! baseline, a `with_device` variant, one decoded from JSON — is keyed by
+//! its `Arc` address (the `Arc` pinned so the address stays unique) and,
+//! on an address miss, by content, so re-materialized copies share one
+//! block.
+//!
 //! On top of the plan representation sit two further exact accelerations:
 //!
 //! * [`DeltaSim`] — incremental re-simulation. For a fixed base strategy,
@@ -56,7 +72,7 @@ use crate::{
     fault::FaultPlan,
     job::Job,
     result::{SimResult, Span, TaskRecord},
-    task::{build_tasks, Resource, Task, TaskKind},
+    task::{build_tasks, resource_idx, Block, Resource, Task, TaskKind},
     word_hash::WordMap,
 };
 
@@ -279,132 +295,6 @@ impl Plan {
     }
 }
 
-/// One interned tensor sub-graph: the stage tasks of a tensor compiled
-/// for a specific `(option, elems, algorithm)`. The compute task is not
-/// stored (its duration is per-tensor); local predecessor index 0 refers
-/// to it, index `j >= 1` to stage task `j - 1`.
-#[derive(Debug, Clone)]
-struct Block {
-    kind: Vec<TaskKind>,
-    resource: Vec<Resource>,
-    duration: Vec<f64>,
-    alpha_secs: Vec<f64>,
-    pred_off: Vec<u32>,
-    pred_idx: Vec<u32>,
-    /// Stage tasks (local indices, ascending) that list the compute task
-    /// as a predecessor — the compute's successor edges into this block.
-    compute_succ: Vec<u32>,
-    /// Local successor CSR over the stage-to-stage edges (pred local
-    /// `p >= 1` maps stage `p - 1 -> j`), lists ascending.
-    succ_off: Vec<u32>,
-    succ_idx: Vec<u32>,
-    /// Total task duration per resource (Gpu/Cpu/Intra/Inter order) —
-    /// the ingredient of [`Simulator::lower_bound`].
-    resource_sums: [f64; 4],
-    /// Longest dependency path through the block, rooted at the compute
-    /// task: a contention-free lower bound on how far past the compute's
-    /// finish the block's last task can end.
-    chain: f64,
-}
-
-impl Block {
-    /// Compiles a block by running the canonical task builder for a
-    /// lone tensor and re-basing the indices, so assembly reproduces
-    /// `push_tensor_tasks` ordering exactly.
-    fn compile(
-        job: &Job,
-        option: &espresso_strategy::CompressionOption,
-        elems: usize,
-        algo: espresso_gc::GcAlgorithm,
-        config: &SimConfig,
-    ) -> Block {
-        let stages = crate::task::build_stages_for_algo(job, option, elems, algo, config);
-        let mut tasks: Vec<Task> = Vec::with_capacity(stages.len() + 1);
-        crate::task::push_tensor_tasks(&mut tasks, 0, 0.0, &stages, None);
-        let mut block = Block {
-            kind: Vec::with_capacity(tasks.len() - 1),
-            resource: Vec::with_capacity(tasks.len() - 1),
-            duration: Vec::with_capacity(tasks.len() - 1),
-            alpha_secs: Vec::with_capacity(tasks.len() - 1),
-            pred_off: vec![0],
-            pred_idx: Vec::new(),
-            compute_succ: Vec::new(),
-            succ_off: Vec::new(),
-            succ_idx: Vec::new(),
-            resource_sums: [0.0; 4],
-            chain: 0.0,
-        };
-        for t in &tasks[1..] {
-            block.kind.push(t.kind);
-            block.resource.push(t.resource);
-            block.duration.push(t.duration);
-            block.alpha_secs.push(t.alpha_secs);
-            block.pred_idx.extend(t.preds.iter().map(|&p| p as u32));
-            block.pred_off.push(block.pred_idx.len() as u32);
-            block.resource_sums[resource_idx(t.resource)] += t.duration;
-        }
-        // Local successor structure, in the same ascending order the
-        // per-plan successor CSR uses: counting pass over stage-to-stage
-        // edges, then a fill in ascending stage order.
-        let stages = block.len();
-        block.succ_off.resize(stages + 1, 0);
-        for j in 0..stages {
-            for &p in &block.pred_idx
-                [block.pred_off[j] as usize..block.pred_off[j + 1] as usize]
-            {
-                if p == 0 {
-                    // Edge compute -> stage j; filled ascending below.
-                } else {
-                    block.succ_off[p as usize] += 1; // list of stage p-1
-                }
-            }
-        }
-        for j in 0..stages {
-            block.succ_off[j + 1] += block.succ_off[j];
-        }
-        block.succ_idx.resize(
-            block.succ_off[stages] as usize,
-            0,
-        );
-        let mut cursor: Vec<u32> = block.succ_off[..stages].to_vec();
-        for j in 0..stages {
-            for &p in &block.pred_idx
-                [block.pred_off[j] as usize..block.pred_off[j + 1] as usize]
-            {
-                if p == 0 {
-                    block.compute_succ.push(j as u32);
-                } else {
-                    let c = &mut cursor[p as usize - 1];
-                    block.succ_idx[*c as usize] = j as u32;
-                    *c += 1;
-                }
-            }
-        }
-        // Longest dependency path rooted at the compute. Stage tasks are
-        // in pipeline order, so every predecessor is resolved before its
-        // successor; a task not reachable from the compute (none exist
-        // today) is excluded rather than assumed to start at its finish.
-        let mut dist = vec![f64::NEG_INFINITY; stages];
-        for j in 0..stages {
-            let mut ready = f64::NEG_INFINITY;
-            for &p in &block.pred_idx
-                [block.pred_off[j] as usize..block.pred_off[j + 1] as usize]
-            {
-                ready = ready.max(if p == 0 { 0.0 } else { dist[p as usize - 1] });
-            }
-            if ready > f64::NEG_INFINITY {
-                dist[j] = ready + block.duration[j];
-                block.chain = block.chain.max(dist[j]);
-            }
-        }
-        block
-    }
-
-    fn len(&self) -> usize {
-        self.kind.len()
-    }
-}
-
 /// Hashable identity of a `GcAlgorithm` setting (variant tag + knob bits)
 /// — `GcAlgorithm` itself carries an `f64` and has no `Eq`/`Hash`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -425,14 +315,21 @@ fn algo_key(algo: espresso_gc::GcAlgorithm) -> AlgoKey {
 
 /// Interned blocks plus the per-simulator evaluation scratch.
 struct SimCache {
-    /// Fast identity lookup: `(Arc pointer, elems, algo) -> block id`.
-    /// Sound because `pinned` keeps every keyed `Arc` alive, so an
-    /// address is never reused for a different option while cached.
+    /// Option-table options: `(table index, elems, algo) -> block id`.
+    /// The index stands for the option's content for the life of the
+    /// process, so a miss compiles without hashing, cloning or pinning
+    /// the option.
+    by_index: WordMap<(u64, usize, AlgoKey), u32>,
+    /// Options from outside the table (baselines, `with_device` variants,
+    /// decoded or hand-built options), fast identity lookup: `(Arc
+    /// pointer, elems, algo) -> block id`. Sound because `pinned` keeps
+    /// every keyed `Arc` alive, so an address is never reused for a
+    /// different option while cached.
     by_ptr: WordMap<(usize, usize, AlgoKey), u32>,
-    /// Content lookup, consulted on pointer misses so re-materialized
-    /// options (e.g. `with_device` variants) dedup to one block. Keyed
-    /// by `(elems, algo)` first, so a lookup borrows the option rather
-    /// than cloning it into a key.
+    /// Content lookup for those options, consulted on pointer misses so
+    /// re-materialized options dedup to one block. Keyed by `(elems,
+    /// algo)` first, so a lookup borrows the option rather than cloning
+    /// it into a key.
     by_content: std::collections::HashMap<
         (usize, AlgoKey),
         std::collections::HashMap<espresso_strategy::CompressionOption, u32>,
@@ -449,6 +346,7 @@ struct SimCache {
 impl SimCache {
     fn new() -> Self {
         Self {
+            by_index: WordMap::default(),
             by_ptr: WordMap::default(),
             by_content: std::collections::HashMap::new(),
             pinned: Vec::new(),
@@ -470,6 +368,17 @@ impl SimCache {
         algo: espresso_gc::GcAlgorithm,
     ) -> u32 {
         let akey = algo_key(algo);
+        if let Some(index) = option.table_index() {
+            let key = (index, elems, akey);
+            if let Some(&id) = self.by_index.get(&key) {
+                return id;
+            }
+            let id = self.blocks.len() as u32;
+            self.blocks
+                .push(Block::compile(job, option, elems, algo, config));
+            self.by_index.insert(key, id);
+            return id;
+        }
         let pkey = (Arc::as_ptr(option) as usize, elems, akey);
         if let Some(&id) = self.by_ptr.get(&pkey) {
             return id;
@@ -546,10 +455,7 @@ impl SimCache {
                 prev_compute,
             );
             for j in 0..block.len() {
-                let preds = block.pred_idx
-                    [block.pred_off[j] as usize..block.pred_off[j + 1] as usize]
-                    .iter()
-                    .map(|&p| base + p);
+                let preds = block.preds(j).iter().map(|&p| base + p);
                 out.push(
                     TaskMeta {
                         tensor: i as u32,
@@ -661,9 +567,7 @@ fn splice_swap(base: &Plan, idx: usize, old: &Block, new: &Block, out: &mut Plan
     out.succ_off.push(out.succ_idx.len() as u32);
     // The new block's stage-to-stage lists.
     for j in 0..new_len {
-        for &t in
-            &new.succ_idx[new.succ_off[j] as usize..new.succ_off[j + 1] as usize]
-        {
+        for &t in new.succs(j) {
             out.succ_idx.push(s as u32 + t);
         }
         out.succ_off.push(out.succ_idx.len() as u32);
@@ -2178,15 +2082,6 @@ impl EventKey {
     }
 }
 
-fn resource_idx(res: Resource) -> usize {
-    match res {
-        Resource::Gpu => 0,
-        Resource::Cpu => 1,
-        Resource::IntraChannel => 2,
-        Resource::InterChannel => 3,
-    }
-}
-
 /// Core event loop over a compiled plan: assigns a start/end span to
 /// every task, writing into `scratch.spans`.
 ///
@@ -2331,6 +2226,17 @@ fn run_plan(
         bound.is_none() || faults.is_none(),
         "the abort bound prices remaining work at nominal durations"
     );
+    // Resync mode: the swapped block's trial tasks `[s, e_t)` not yet
+    // finished. Each is pending — queued, ready or running — and maps to
+    // no base task, so the state check cannot pass until none is left.
+    // The run resumes at the swapped tensor's compute finish, before any
+    // of them has started.
+    let (block_start, block_len) = resync.map_or((0, 0), |rs| (rs.s, rs.e_t - rs.s));
+    let mut block_unfinished = block_len;
+    debug_assert!(
+        (block_start..block_start + block_len).all(|t| scratch.spans[t as usize].start.is_nan()),
+        "a resync run starts before the swapped block"
+    );
     while let Some((ev, from_ready)) = scratch.peek_event() {
         if let Some(pause) = pause_at {
             if ev.is_finish() && ev.task() == pause {
@@ -2366,13 +2272,19 @@ fn run_plan(
                 });
             }
         } else if let Some(rs) = resync {
-            if ev.is_finish() {
+            // Debug builds run the state check with block tasks still
+            // unfinished too, as the oracle that it fails there.
+            if ev.is_finish() && (block_unfinished == 0 || cfg!(debug_assertions)) {
                 let m = &plan.meta[ev.task() as usize];
                 if m.kind == TaskKind::Compute && m.tensor > rs.idx {
                     if let Some(entry) = rs.checkpoints.get(&m.tensor) {
                         if entry.cp.now.to_bits() == ev.time().to_bits()
                             && rs.states_match(scratch, &entry.cp)
                         {
+                            debug_assert_eq!(
+                                block_unfinished, 0,
+                                "states matched with swapped-block tasks unfinished"
+                            );
                             return RunOutcome::Resynced(scratch.max_end.max(entry.future_max));
                         }
                     }
@@ -2386,6 +2298,9 @@ fn run_plan(
         if ev.is_finish() {
             debug_assert!(scratch.busy[ri] > 0, "releasing an idle resource");
             scratch.busy[ri] -= 1;
+            if i.wrapping_sub(block_start) < block_len {
+                block_unfinished -= 1;
+            }
             for &su in plan.succs(i as usize) {
                 let s = su as usize;
                 scratch.indegree[s] -= 1;
@@ -2578,7 +2493,7 @@ mod tests {
         let space = OptionSpace::enumerate(&j.cluster);
         let cpu_opt = space
             .compressed()
-            .into_iter()
+            .iter()
             .find(|o| !o.gpu_only())
             .unwrap()
             .with_device(espresso_gc::Device::Cpu);

@@ -17,10 +17,13 @@
 //! ## Stages
 //!
 //! A tensor's op chain compiles to a list of [`Stage`]s — `(kind,
-//! resource, piece count, piece duration)` — which depends only on the
-//! `(option, tensor size, job, config)` tuple. The [`crate::engine::Simulator`]
-//! caches stages per option/size so strategy-search loops do not recompute
-//! annotations and timing models thousands of times.
+//! resource, piece count, piece duration)` — and the stages expand
+//! straight into a [`Block`], the tensor's stage tasks with their edges.
+//! Both depend only on the `(option, tensor size, algorithm, cluster,
+//! config)` tuple. The [`crate::engine::Simulator`] interns blocks, so
+//! strategy-search loops do not recompute annotations and timing models
+//! thousands of times, and [`build_tasks`] expands the same blocks into
+//! [`Task`]s.
 
 use espresso_cluster::{CollectiveCost, CommScope, Routine};
 use espresso_gc::{Device, GcAlgorithm, TimingModel};
@@ -159,7 +162,19 @@ pub fn build_stages_for_algo(
     let timing = TimingModel::for_algorithm(algo);
     let dense_bytes = (elems * 4) as f64;
     let parts = ((dense_bytes / config.partition_bytes).ceil() as usize).max(1);
-    let mut stages = Vec::with_capacity(option.ops.len() + 2);
+    // One stage per op at most, plus a staging copy for a compress or
+    // decompress op on the CPU.
+    let staged = option
+        .ops
+        .iter()
+        .filter(|op| {
+            matches!(
+                op,
+                espresso_strategy::Op::Compress { .. } | espresso_strategy::Op::Decompress { .. }
+            )
+        })
+        .count();
+    let mut stages = Vec::with_capacity(option.ops.len() + staged);
 
     for aop in option.annotate(elems, algo, &job.cluster) {
         match aop.work {
@@ -282,69 +297,171 @@ pub fn build_stages_for_algo(
     stages
 }
 
-/// Appends the tasks of one tensor (compute + compiled stages) to `tasks`.
-///
-/// `prev_compute` is the previous tensor's compute-task index (backward is
-/// sequential).
-pub fn push_tensor_tasks(
-    tasks: &mut Vec<Task>,
-    tensor: usize,
-    compute_time: f64,
-    stages: &[Stage],
-    prev_compute: Option<usize>,
-) -> usize {
-    let compute_idx = tasks.len();
-    tasks.push(Task {
-        tensor,
-        kind: TaskKind::Compute,
-        resource: Resource::Gpu,
-        duration: compute_time,
-        alpha_secs: 0.0,
-        preds: prev_compute.into_iter().collect(),
-    });
-    let mut frontier: Vec<usize> = vec![compute_idx];
-    for stage in stages {
-        if stage.pieces == 1 {
-            let idx = tasks.len();
-            tasks.push(Task {
-                tensor,
-                kind: stage.kind,
-                resource: stage.resource,
-                duration: stage.piece_duration,
-                alpha_secs: stage.piece_alpha,
-                preds: std::mem::take(&mut frontier),
-            });
-            frontier = vec![idx];
-        } else {
-            let prev = std::mem::take(&mut frontier);
-            frontier = Vec::with_capacity(stage.pieces);
-            for p in 0..stage.pieces {
-                let preds = if prev.len() == stage.pieces {
-                    // Piecewise chaining with the previous dense stage.
-                    vec![prev[p]]
-                } else {
-                    // Barrier boundary (compute, compression, or a stage
-                    // with a different piece count).
-                    prev.clone()
-                };
-                let idx = tasks.len();
-                tasks.push(Task {
-                    tensor,
-                    kind: stage.kind,
-                    resource: stage.resource,
-                    duration: stage.piece_duration,
-                    alpha_secs: stage.piece_alpha,
-                    preds,
-                });
-                frontier.push(idx);
-            }
-        }
+/// The slot of `res` in per-resource arrays (Gpu/Cpu/Intra/Inter order).
+pub(crate) fn resource_idx(res: Resource) -> usize {
+    match res {
+        Resource::Gpu => 0,
+        Resource::Cpu => 1,
+        Resource::IntraChannel => 2,
+        Resource::InterChannel => 3,
     }
-    compute_idx
 }
 
-/// Builds the task graph for `job` under `strategy` (uncached; the
-/// [`crate::engine::Simulator`] is the cached path).
+/// One tensor's stage tasks, compiled for a specific `(option, elems,
+/// algorithm)`: the unit the [`crate::engine::Simulator`] interns and
+/// assembles timelines from, and the one [`build_tasks`] expands.
+///
+/// The tensor's compute task is not stored (its duration is per tensor).
+/// Predecessor lists use local indices — 0 is the compute task, `j + 1`
+/// is stage task `j` — while `compute_succ` and the successor lists name
+/// stage tasks by `j`. Each list ascends.
+#[derive(Debug, Clone)]
+pub struct Block {
+    /// What each stage task does.
+    pub kind: Vec<TaskKind>,
+    /// Where each runs.
+    pub resource: Vec<Resource>,
+    /// Each one's service time, seconds.
+    pub duration: Vec<f64>,
+    /// The latency (alpha) part of each duration.
+    pub alpha_secs: Vec<f64>,
+    /// Predecessor CSR offsets (`kind.len() + 1` entries).
+    pub pred_off: Vec<u32>,
+    /// Predecessor lists, local indices.
+    pub pred_idx: Vec<u32>,
+    /// Stage tasks that list the compute task as a predecessor — the
+    /// compute's successor edges into this block.
+    pub compute_succ: Vec<u32>,
+    /// Successor CSR offsets over the stage-to-stage edges.
+    pub succ_off: Vec<u32>,
+    /// Successor lists, stage indices.
+    pub succ_idx: Vec<u32>,
+    /// Total task duration per resource (Gpu/Cpu/Intra/Inter order) —
+    /// the ingredient of the simulator's resource lower bounds.
+    pub resource_sums: [f64; 4],
+    /// Longest dependency path through the block, rooted at the compute
+    /// task: a contention-free lower bound on how far past the compute's
+    /// finish the block's last task can end.
+    pub chain: f64,
+}
+
+impl Block {
+    /// Compiles the block of one tensor of `elems` elements synchronized
+    /// by `option` and compressed with `algo`.
+    pub fn compile(
+        job: &Job,
+        option: &CompressionOption,
+        elems: usize,
+        algo: GcAlgorithm,
+        config: &SimConfig,
+    ) -> Block {
+        Self::from_stages(&build_stages_for_algo(job, option, elems, algo, config))
+    }
+
+    /// Expands `stages` into their tasks: a single-piece stage waits for
+    /// every task of the stage before it (or for the compute); a
+    /// multi-piece stage chains piece by piece behind a stage of the same
+    /// piece count and waits for all of any other. A stage's pieces are
+    /// contiguous, so the frontier is an index range; every array is
+    /// sized from the piece and edge counts before it is filled, and
+    /// `resource_sums` adds the durations in task order.
+    pub fn from_stages(stages: &[Stage]) -> Block {
+        // Frontier width before each stage, and whether the stage chains
+        // piecewise behind it.
+        let piecewise = |width: usize, st: &Stage| st.pieces > 1 && width == st.pieces;
+        let (mut tasks, mut edges, mut width) = (0usize, 0usize, 1usize);
+        for st in stages {
+            tasks += st.pieces;
+            edges += if piecewise(width, st) {
+                st.pieces
+            } else {
+                st.pieces * width
+            };
+            width = st.pieces;
+        }
+        let roots = stages.first().map_or(0, |st| st.pieces);
+        let mut block = Block {
+            kind: Vec::with_capacity(tasks),
+            resource: Vec::with_capacity(tasks),
+            duration: Vec::with_capacity(tasks),
+            alpha_secs: Vec::with_capacity(tasks),
+            pred_off: Vec::with_capacity(tasks + 1),
+            pred_idx: Vec::with_capacity(edges),
+            compute_succ: (0..roots as u32).collect(),
+            succ_off: Vec::with_capacity(tasks + 1),
+            succ_idx: Vec::with_capacity(edges - roots),
+            resource_sums: [0.0; 4],
+            chain: 0.0,
+        };
+        block.pred_off.push(0);
+        block.succ_off.push(0);
+        // The frontier as local indices (the compute task first), and the
+        // finish of its longest path: every piece of a stage gets the
+        // same predecessors' finish plus the same duration, so one value
+        // stands for the whole stage.
+        let (mut lo, mut hi) = (0u32, 1u32);
+        let mut ready = 0.0f64;
+        for (k, st) in stages.iter().enumerate() {
+            let first = block.kind.len() as u32;
+            let chained = piecewise((hi - lo) as usize, st);
+            for p in 0..st.pieces as u32 {
+                block.kind.push(st.kind);
+                block.resource.push(st.resource);
+                block.duration.push(st.piece_duration);
+                block.alpha_secs.push(st.piece_alpha);
+                if chained {
+                    block.pred_idx.push(lo + p);
+                } else {
+                    block.pred_idx.extend(lo..hi);
+                }
+                block.pred_off.push(block.pred_idx.len() as u32);
+                block.resource_sums[resource_idx(st.resource)] += st.piece_duration;
+                // Successors: the next stage's pieces, as it will list
+                // this stage among its predecessors.
+                let next_first = first + st.pieces as u32;
+                match stages.get(k + 1) {
+                    Some(next) if piecewise(st.pieces, next) => block.succ_idx.push(next_first + p),
+                    Some(next) => block
+                        .succ_idx
+                        .extend(next_first..next_first + next.pieces as u32),
+                    None => {}
+                }
+                block.succ_off.push(block.succ_idx.len() as u32);
+            }
+            ready += st.piece_duration;
+            block.chain = block.chain.max(ready);
+            (lo, hi) = (first + 1, first + 1 + st.pieces as u32);
+        }
+        debug_assert_eq!(block.pred_idx.len(), edges);
+        debug_assert_eq!(block.succ_idx.len(), edges - roots);
+        block
+    }
+
+    /// Number of stage tasks.
+    pub fn len(&self) -> usize {
+        self.kind.len()
+    }
+
+    /// Whether the block has no stage task (a single-GPU job's).
+    pub fn is_empty(&self) -> bool {
+        self.kind.is_empty()
+    }
+
+    /// Stage task `j`'s predecessors, local indices.
+    pub fn preds(&self, j: usize) -> &[u32] {
+        &self.pred_idx[self.pred_off[j] as usize..self.pred_off[j + 1] as usize]
+    }
+
+    /// Stage task `j`'s successors, stage indices.
+    pub fn succs(&self, j: usize) -> &[u32] {
+        &self.succ_idx[self.succ_off[j] as usize..self.succ_off[j + 1] as usize]
+    }
+}
+
+/// Builds the task graph for `job` under `strategy`: per tensor, its
+/// compute task (chained behind the previous tensor's) and then its
+/// [`Block`]'s tasks (uncached; the [`crate::engine::Simulator`] is the
+/// cached path).
 ///
 /// # Panics
 ///
@@ -360,11 +477,33 @@ pub fn build_tasks(job: &Job, strategy: &Strategy, config: &SimConfig) -> Vec<Ta
     let mut tasks: Vec<Task> = Vec::with_capacity(job.num_tensors() * 8);
     let mut prev_compute: Option<usize> = None;
     for (i, tensor) in job.model.tensors.iter().enumerate() {
-        let stages =
-            build_stages_for_algo(job, strategy.option(i), tensor.elems, job.algo_for(i), config);
-        let compute_idx =
-            push_tensor_tasks(&mut tasks, i, tensor.compute_time, &stages, prev_compute);
-        prev_compute = Some(compute_idx);
+        let block = Block::compile(
+            job,
+            strategy.option(i),
+            tensor.elems,
+            job.algo_for(i),
+            config,
+        );
+        let base = tasks.len();
+        tasks.push(Task {
+            tensor: i,
+            kind: TaskKind::Compute,
+            resource: Resource::Gpu,
+            duration: tensor.compute_time,
+            alpha_secs: 0.0,
+            preds: prev_compute.into_iter().collect(),
+        });
+        for j in 0..block.len() {
+            tasks.push(Task {
+                tensor: i,
+                kind: block.kind[j],
+                resource: block.resource[j],
+                duration: block.duration[j],
+                alpha_secs: block.alpha_secs[j],
+                preds: block.preds(j).iter().map(|&p| base + p as usize).collect(),
+            });
+        }
+        prev_compute = Some(base);
     }
     tasks
 }
@@ -473,7 +612,7 @@ mod tests {
         let space = espresso_strategy::OptionSpace::enumerate(&j.cluster);
         let opt = space
             .gpu_compressed()
-            .into_iter()
+            .iter()
             .find(|o| {
                 o.ops.iter().any(|op| {
                     matches!(
@@ -487,7 +626,7 @@ mod tests {
                 })
             })
             .unwrap();
-        let s = Strategy::uniform(j.num_tensors(), opt);
+        let s = Strategy::uniform(j.num_tensors(), opt.clone());
         let tasks = build_tasks(&j, &s, &SimConfig::default());
         let biggest = j
             .model
@@ -516,7 +655,7 @@ mod tests {
         let space = espresso_strategy::OptionSpace::enumerate(&j.cluster);
         let opt = space
             .compressed()
-            .into_iter()
+            .iter()
             .find(|o| !o.gpu_only())
             .unwrap()
             .with_device(Device::Cpu);
@@ -533,7 +672,7 @@ mod tests {
         let space2 = espresso_strategy::OptionSpace::enumerate(&j2.cluster);
         let opt2 = space2
             .compressed()
-            .into_iter()
+            .iter()
             .find(|o| !o.gpu_only())
             .unwrap()
             .with_device(Device::Cpu);

@@ -11,6 +11,10 @@
 //! still grow (a `realloc`) when a trial needs more room than any before
 //! it; that is amortized, and bounded over the sweep.
 //!
+//! Compiling a block allocates the block's own arrays — one allocation
+//! each, sized up front — plus the stage list it is expanded from, and
+//! nothing per task.
+//!
 //! Debug builds run allocating oracles beside every trial (full re-runs
 //! that check each shortcut), so the counts are pinned in release builds
 //! only: `cargo test --release -p espresso-sim --test alloc_per_trial`.
@@ -21,6 +25,7 @@ use std::cell::Cell;
 use espresso_cluster::{Cluster, CommPattern};
 use espresso_gc::GcAlgorithm;
 use espresso_models::Model;
+use espresso_sim::task::{build_stages_for_algo, Block};
 use espresso_sim::{Job, SimConfig, Simulator, TrialCounts};
 use espresso_strategy::{OptionSpace, Strategy};
 
@@ -209,4 +214,55 @@ fn steady_state_trials_allocate_at_most_the_memo_key() {
             "the sweeps never saw a {what:?} trial: {seen:?}"
         );
     }
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "debug builds count differently")]
+fn compiling_a_block_allocates_its_own_arrays_only() {
+    let config = SimConfig::default();
+    let part = (config.partition_bytes / 4.0) as usize;
+    let mut widest = 0;
+    for cluster in [Cluster::pcie_25g(1, 1), Cluster::pcie_25g(2, 4)] {
+        let job = Job::new(Model::Lstm.profile(), cluster, GcAlgorithm::dgc_1pct());
+        let space = OptionSpace::enumerate(&cluster);
+        for option in space.all().iter().chain(space.cpu_variants()) {
+            // One piece, a few, and dozens: the count must not move.
+            for elems in [1, 7 * part + 3, 40 * part] {
+                let stages = build_stages_for_algo(&job, option, elems, job.algo, &config);
+                let c0 = counts();
+                let block = Block::from_stages(&stages);
+                let c1 = counts();
+                let compiled = Block::compile(&job, option, elems, job.algo, &config);
+                let c2 = counts();
+                drop(compiled);
+                // One allocation per non-empty array: the four per-task
+                // columns, both offset arrays (never empty), the
+                // predecessor and successor lists, and the compute's
+                // successors.
+                let tasks = !block.is_empty() as u64;
+                let own = 4 * tasks
+                    + 2
+                    + !block.pred_idx.is_empty() as u64
+                    + !block.succ_idx.is_empty() as u64
+                    + !block.compute_succ.is_empty() as u64;
+                let what = option.describe();
+                assert_eq!(c1[0] - c0[0], own, "{what}, {elems} elems: {block:?}");
+                assert_eq!(
+                    c1[1] - c0[1],
+                    0,
+                    "{what}, {elems} elems: a block array grew"
+                );
+                // The full compile adds the stage list and the annotated
+                // ops it is built from, no more.
+                assert!(c2[0] - c1[0] <= own + 2, "{what}, {elems} elems");
+                assert_eq!(
+                    c2[1] - c1[1],
+                    0,
+                    "{what}, {elems} elems: a compile buffer grew"
+                );
+                widest = widest.max(block.len());
+            }
+        }
+    }
+    assert!(widest >= 40, "no block had dozens of tasks: {widest}");
 }

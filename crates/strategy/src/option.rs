@@ -62,12 +62,66 @@ pub struct AnnotatedOp {
 
 /// A validated compression option: a path from `Start` to `End` in the
 /// paper's Figure 8.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+///
+/// Equality, ordering, hashing and `Debug` read the pattern and the ops
+/// only. An option enumerated through [`crate::OptionSpace`] also carries
+/// its dense index in the process-wide option table
+/// ([`CompressionOption::table_index`]); a clone is a new option outside
+/// the table and carries none.
 pub struct CompressionOption {
     /// Flat or hierarchical communication (the `flat comm?` decision).
     pub pattern: CommPattern,
     /// The ordered action tasks.
     pub ops: Vec<Op>,
+    /// Dense index in the option table (see [`crate::tree`]), unique per
+    /// content for the life of the process.
+    pub(crate) table_index: Option<u64>,
+}
+
+impl Clone for CompressionOption {
+    fn clone(&self) -> Self {
+        Self {
+            pattern: self.pattern,
+            ops: self.ops.clone(),
+            table_index: None,
+        }
+    }
+}
+
+impl PartialEq for CompressionOption {
+    fn eq(&self, other: &Self) -> bool {
+        self.pattern == other.pattern && self.ops == other.ops
+    }
+}
+
+impl Eq for CompressionOption {}
+
+impl std::hash::Hash for CompressionOption {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.pattern.hash(state);
+        self.ops.hash(state);
+    }
+}
+
+impl PartialOrd for CompressionOption {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for CompressionOption {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        (self.pattern, &self.ops).cmp(&(other.pattern, &other.ops))
+    }
+}
+
+impl std::fmt::Debug for CompressionOption {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("CompressionOption")
+            .field("pattern", &self.pattern)
+            .field("ops", &self.ops)
+            .finish()
+    }
 }
 
 impl CompressionOption {
@@ -83,9 +137,28 @@ impl CompressionOption {
         ops: Vec<Op>,
         cluster: &Cluster,
     ) -> Result<Arc<Self>, PayloadError> {
-        let opt = Self { pattern, ops };
+        let opt = Self::unindexed(pattern, ops);
         opt.validate(cluster)?;
         Ok(Arc::new(opt))
+    }
+
+    /// An option outside the option table.
+    pub(crate) fn unindexed(pattern: CommPattern, ops: Vec<Op>) -> Self {
+        Self {
+            pattern,
+            ops,
+            table_index: None,
+        }
+    }
+
+    /// The option's dense index in the process-wide option table, or
+    /// `None` for an option built anywhere else (a baseline, a decoded or
+    /// hand-built option, a [`CompressionOption::with_device`] variant).
+    /// Two options with the same index are equal; equal options need not
+    /// share an index. The simulator's block interner keys table options
+    /// by it.
+    pub fn table_index(&self) -> Option<u64> {
+        self.table_index
     }
 
     /// Re-runs the payload state machine over the ops.
@@ -140,7 +213,7 @@ impl CompressionOption {
                 ops
             }
         };
-        Arc::new(Self { pattern, ops })
+        Arc::new(Self::unindexed(pattern, ops))
     }
 
     /// Whether any op compresses the tensor (Dimension 1).
@@ -187,6 +260,11 @@ impl CompressionOption {
     /// the (unvalidated-identical) variant. Used by CPU offloading to
     /// move a tensor's compression work between devices.
     pub fn with_device(&self, device: Device) -> Arc<Self> {
+        Arc::new(self.device_variant(device))
+    }
+
+    /// [`CompressionOption::with_device`] without the `Arc`.
+    pub(crate) fn device_variant(&self, device: Device) -> Self {
         let ops = self
             .ops
             .iter()
@@ -197,10 +275,7 @@ impl CompressionOption {
                 other => other,
             })
             .collect();
-        Arc::new(Self {
-            pattern: self.pattern,
-            ops,
-        })
+        Self::unindexed(self.pattern, ops)
     }
 
     /// Annotates the option for a tensor of `elems` elements compressed
@@ -332,10 +407,7 @@ impl ToJson for CompressionOption {
 
 impl FromJson for CompressionOption {
     fn from_json(v: &Json) -> Result<Self, DecodeError> {
-        Ok(Self {
-            pattern: v.req("pattern")?,
-            ops: v.req("ops")?,
-        })
+        Ok(Self::unindexed(v.req("pattern")?, v.req("ops")?))
     }
 }
 

@@ -19,7 +19,8 @@
 //! Every produced option additionally passes the payload state machine,
 //! so a construction bug cannot silently emit an inexpressible option.
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use espresso_cluster::{CommPattern, CommScope, Cluster, Routine};
 use espresso_gc::Device;
@@ -53,6 +54,13 @@ struct Segment {
 
 /// The full option space for one cluster shape.
 ///
+/// The tree reads only the cluster's shape — `machines` and
+/// `gpus_per_machine` — and the [`Constraints`], so it is enumerated once
+/// per process for each such key and kept in a small, fixed-capacity
+/// table of immutable entries (see [`OptionSpace::enumerate_constrained`]).
+/// A space carries its own [`Cluster`] and a handle on its table entry:
+/// the sorted option list and three partitions precomputed with it.
+///
 /// # Examples
 ///
 /// ```
@@ -69,7 +77,167 @@ struct Segment {
 #[derive(Debug, Clone)]
 pub struct OptionSpace {
     cluster: Cluster,
-    options: Vec<Arc<CompressionOption>>,
+    options: Arc<ShapeOptions>,
+}
+
+/// One table entry: a shape's sorted options under one constraint set,
+/// with the partitions the decision phases read.
+#[derive(Debug)]
+struct ShapeOptions {
+    all: Vec<Arc<CompressionOption>>,
+    gpu_compressed: Vec<Arc<CompressionOption>>,
+    compressed: Vec<Arc<CompressionOption>>,
+    cpu_variants: Vec<Arc<CompressionOption>>,
+}
+
+/// What enumeration reads, and so what the table is keyed by.
+#[derive(Debug)]
+struct ShapeKey {
+    machines: usize,
+    gpus_per_machine: usize,
+    constraints: Constraints,
+}
+
+impl ShapeKey {
+    fn matches(&self, cluster: &Cluster, constraints: &Constraints) -> bool {
+        self.machines == cluster.machines
+            && self.gpus_per_machine == cluster.gpus_per_machine
+            && self.constraints == *constraints
+    }
+}
+
+/// Entries the option table keeps; the least recently used one is
+/// dropped to admit a new key. A server or a training run plans for a
+/// handful of shapes, and building a 2×4 or 4×4 entry (3,005 options)
+/// raises resident memory by about 1 MB. A dropped shape is enumerated
+/// again, with new indices, on its next use.
+const SHAPE_TABLE_CAPACITY: usize = 8;
+
+/// The process-wide option table, most recently used entry last.
+static SHAPES: Mutex<Vec<(ShapeKey, Arc<ShapeOptions>)>> = Mutex::new(Vec::new());
+
+/// The next unused dense option index. An unconstrained enumeration
+/// reserves one index per option; constrained entries reuse the Arcs —
+/// and so the indices — of their shape's unconstrained entry.
+static NEXT_INDEX: AtomicU64 = AtomicU64::new(0);
+
+/// The table, lock poisoning ignored: entries are immutable once
+/// inserted, so a panic elsewhere cannot leave one half-built.
+fn shapes() -> MutexGuard<'static, Vec<(ShapeKey, Arc<ShapeOptions>)>> {
+    SHAPES.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The table entry for `cluster`'s shape under `constraints`,
+/// enumerating it on a miss. The enumeration runs outside the lock; when
+/// two threads race on one key, the first insert wins and both return it.
+fn shape_options(cluster: &Cluster, constraints: &Constraints) -> Arc<ShapeOptions> {
+    {
+        let mut table = shapes();
+        if let Some(at) = table
+            .iter()
+            .position(|(k, _)| k.matches(cluster, constraints))
+        {
+            let entry = table.remove(at);
+            let options = entry.1.clone();
+            table.push(entry);
+            return options;
+        }
+    }
+    let built = if *constraints == Constraints::default() {
+        let raw = fresh_options(cluster, constraints);
+        let base = NEXT_INDEX.fetch_add(raw.len() as u64, Ordering::Relaxed);
+        let all: Vec<Arc<CompressionOption>> = raw
+            .into_iter()
+            .zip(base..)
+            .map(|(mut o, index)| {
+                o.table_index = Some(index);
+                Arc::new(o)
+            })
+            .collect();
+        ShapeOptions::new(all.clone(), &all)
+    } else {
+        let full = shape_options(cluster, &Constraints::default());
+        let all = full
+            .all
+            .iter()
+            .filter(|o| constraints.allows(o))
+            .cloned()
+            .collect();
+        ShapeOptions::new(all, &full.all)
+    };
+    let mut table = shapes();
+    if let Some((_, raced)) = table.iter().find(|(k, _)| k.matches(cluster, constraints)) {
+        return raced.clone();
+    }
+    if table.len() == SHAPE_TABLE_CAPACITY {
+        table.remove(0);
+    }
+    let options = Arc::new(built);
+    table.push((
+        ShapeKey {
+            machines: cluster.machines,
+            gpus_per_machine: cluster.gpus_per_machine,
+            constraints: constraints.clone(),
+        },
+        options.clone(),
+    ));
+    options
+}
+
+/// Enumerates, filters, sorts and validates the options of `cluster`'s
+/// shape — the tree walk itself, without the table.
+fn fresh_options(cluster: &Cluster, constraints: &Constraints) -> Vec<CompressionOption> {
+    let mut raw: Vec<CompressionOption> = Vec::new();
+    if cluster.total_gpus() > 1 {
+        raw.extend(flat_options(cluster));
+        raw.extend(hierarchical_options(cluster));
+    } else {
+        raw.push(CompressionOption::unindexed(CommPattern::Flat, vec![]));
+    }
+    raw.retain(|o| constraints.allows(o));
+    raw.sort();
+    raw.dedup();
+    for o in &raw {
+        o.validate(cluster)
+            .unwrap_or_else(|e| panic!("tree produced invalid option {}: {e}", o.describe()));
+    }
+    raw
+}
+
+impl ShapeOptions {
+    /// Partitions the sorted `all`. `full` is the shape's unconstrained
+    /// option list: each CPU variant is taken from it, so a variant that
+    /// is itself an option of the tree shares that option's `Arc` and
+    /// table index.
+    fn new(all: Vec<Arc<CompressionOption>>, full: &[Arc<CompressionOption>]) -> Self {
+        let gpu_compressed = all
+            .iter()
+            .filter(|o| o.compresses() && o.gpu_only())
+            .cloned()
+            .collect();
+        let compressed: Vec<Arc<CompressionOption>> =
+            all.iter().filter(|o| o.compresses()).cloned().collect();
+        let mut cpu: Vec<CompressionOption> = compressed
+            .iter()
+            .map(|o| o.device_variant(Device::Cpu))
+            .filter(|o| o.compresses())
+            .collect();
+        cpu.sort();
+        cpu.dedup();
+        let cpu_variants = cpu
+            .into_iter()
+            .map(|o| match full.binary_search_by(|f| (**f).cmp(&o)) {
+                Ok(at) => full[at].clone(),
+                Err(_) => Arc::new(o),
+            })
+            .collect();
+        Self {
+            all,
+            gpu_compressed,
+            compressed,
+            cpu_variants,
+        }
+    }
 }
 
 impl OptionSpace {
@@ -79,31 +247,16 @@ impl OptionSpace {
     }
 
     /// Enumerates the option space, pruned by user `constraints`.
+    ///
+    /// The options come from the process-wide table, keyed by the
+    /// cluster's `machines` and `gpus_per_machine` and by `constraints`
+    /// (the only inputs the tree reads), so a repeated shape costs a
+    /// lookup. Every space of one shape hands out the same `Arc`s, each
+    /// carrying its [`CompressionOption::table_index`].
     pub fn enumerate_constrained(cluster: &Cluster, constraints: &Constraints) -> Self {
-        let mut raw: Vec<CompressionOption> = Vec::new();
-        if cluster.total_gpus() > 1 {
-            raw.extend(flat_options(cluster));
-            raw.extend(hierarchical_options(cluster));
-        } else {
-            raw.push(CompressionOption {
-                pattern: CommPattern::Flat,
-                ops: vec![],
-            });
-        }
-        raw.retain(|o| constraints.allows(o));
-        raw.sort();
-        raw.dedup();
-        let options = raw
-            .into_iter()
-            .map(|o| {
-                o.validate(cluster)
-                    .unwrap_or_else(|e| panic!("tree produced invalid option {}: {e}", o.describe()));
-                Arc::new(o)
-            })
-            .collect();
         Self {
             cluster: *cluster,
-            options,
+            options: shape_options(cluster, constraints),
         }
     }
 
@@ -114,43 +267,43 @@ impl OptionSpace {
 
     /// All options (the paper's `C`), including uncompressed ones.
     pub fn all(&self) -> &[Arc<CompressionOption>] {
-        &self.options
+        &self.options.all
     }
 
     /// Number of options, |C|.
     pub fn len(&self) -> usize {
-        self.options.len()
+        self.options.all.len()
     }
 
     /// Whether the space is empty (never, for a valid cluster).
     pub fn is_empty(&self) -> bool {
-        self.options.is_empty()
+        self.options.all.is_empty()
     }
 
     /// Options whose compression work runs exclusively on GPUs — the
     /// paper's `C_gpu`, the candidate set of Algorithm 1. Includes the
     /// compressing GPU options only (the no-compression candidate is
     /// handled separately by the algorithm).
-    pub fn gpu_compressed(&self) -> Vec<Arc<CompressionOption>> {
-        self.options
-            .iter()
-            .filter(|o| o.compresses() && o.gpu_only())
-            .cloned()
-            .collect()
+    pub fn gpu_compressed(&self) -> &[Arc<CompressionOption>] {
+        &self.options.gpu_compressed
     }
 
     /// Options that compress somewhere, on any device.
-    pub fn compressed(&self) -> Vec<Arc<CompressionOption>> {
-        self.options
-            .iter()
-            .filter(|o| o.compresses())
-            .cloned()
-            .collect()
+    pub fn compressed(&self) -> &[Arc<CompressionOption>] {
+        &self.options.compressed
+    }
+
+    /// Every compressed option with all its compression work moved to
+    /// the CPU ([`CompressionOption::with_device`]), deduplicated, in
+    /// option order — the candidates of the CPU backfill.
+    pub fn cpu_variants(&self) -> &[Arc<CompressionOption>] {
+        &self.options.cpu_variants
     }
 
     /// Uncompressed options.
     pub fn uncompressed(&self) -> Vec<Arc<CompressionOption>> {
         self.options
+            .all
             .iter()
             .filter(|o| !o.compresses())
             .cloned()
@@ -166,10 +319,7 @@ fn flat_options(_cluster: &Cluster) -> Vec<CompressionOption> {
     let scope = CommScope::Flat;
     let mut out = Vec::new();
     let push = |out: &mut Vec<CompressionOption>, ops: Vec<Op>| {
-        out.push(CompressionOption {
-            pattern: CommPattern::Flat,
-            ops,
-        });
+        out.push(CompressionOption::unindexed(CommPattern::Flat, ops));
     };
 
     // compress? No -> divisible? No: Allreduce.
@@ -275,10 +425,7 @@ fn dense_second_step(scope: CommScope, pairing: Pairing, allow_carry: bool) -> V
 fn hierarchical_options(cluster: &Cluster) -> Vec<CompressionOption> {
     let mut out = Vec::new();
     let push = |out: &mut Vec<CompressionOption>, ops: Vec<Op>| {
-        out.push(CompressionOption {
-            pattern: CommPattern::Hierarchical,
-            ops,
-        });
+        out.push(CompressionOption::unindexed(CommPattern::Hierarchical, ops));
     };
 
     if !cluster.is_multi_machine() {
@@ -641,6 +788,105 @@ mod tests {
                     assert!(!routine.reduces_in_flight(), "{}", opt.describe());
                 }
             }
+        }
+    }
+
+    /// The historical partitions of a fresh enumeration: `(all, gpu
+    /// compressed, compressed, CPU variants)`, the variants through the
+    /// `BTreeSet` the backfill used to build on every call.
+    fn fresh_partitions(
+        cluster: &Cluster,
+        constraints: &Constraints,
+    ) -> [Vec<CompressionOption>; 4] {
+        let all = fresh_options(cluster, constraints);
+        let gpu = all
+            .iter()
+            .filter(|o| o.compresses() && o.gpu_only())
+            .cloned()
+            .collect();
+        let compressed: Vec<CompressionOption> =
+            all.iter().filter(|o| o.compresses()).cloned().collect();
+        let mut cpu: Vec<CompressionOption> = compressed
+            .iter()
+            .map(|o| o.with_device(Device::Cpu))
+            .collect::<std::collections::BTreeSet<_>>()
+            .into_iter()
+            .map(|o| (*o).clone())
+            .collect();
+        cpu.retain(|o| o.compresses());
+        [all, gpu, compressed, cpu]
+    }
+
+    fn contents(options: &[Arc<CompressionOption>]) -> Vec<CompressionOption> {
+        options.iter().map(|o| (**o).clone()).collect()
+    }
+
+    #[test]
+    fn the_shape_table_equals_a_fresh_enumeration() {
+        use espresso_cluster::Link;
+        let pcie = Cluster::pcie_25g(2, 4);
+        let siblings = [
+            pcie,
+            Cluster::nvlink_100g(2, 4),
+            Cluster::with_links(2, 4, Link::new(3.0e9, 2e-5), Link::new(1.0e9, 5e-5)),
+            Cluster {
+                staging_shares_intra: !pcie.staging_shares_intra,
+                ..pcie
+            },
+        ];
+        let constrained = Constraints {
+            max_compressions: Some(1),
+            no_intra_compression: true,
+            ..Constraints::default()
+        };
+        for constraints in [Constraints::default(), constrained] {
+            let first = OptionSpace::enumerate_constrained(&siblings[0], &constraints);
+            for cluster in &siblings {
+                let space = OptionSpace::enumerate_constrained(cluster, &constraints);
+                assert_eq!(space.cluster(), cluster);
+                let [all, gpu, compressed, cpu] = fresh_partitions(cluster, &constraints);
+                assert_eq!(contents(space.all()), all);
+                assert_eq!(contents(space.gpu_compressed()), gpu);
+                assert_eq!(contents(space.compressed()), compressed);
+                assert_eq!(contents(space.cpu_variants()), cpu);
+                // One shape, one entry: the same Arcs for every sibling.
+                for (a, b) in space.all().iter().zip(first.all()) {
+                    assert!(Arc::ptr_eq(a, b));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn table_options_carry_unique_indices_shared_with_their_cpu_variants() {
+        for cluster in [Cluster::pcie_25g(2, 4), Cluster::nvlink_100g(1, 4)] {
+            let space = OptionSpace::enumerate(&cluster);
+            let mut seen = std::collections::BTreeSet::new();
+            for o in space.all() {
+                let index = o.table_index().expect("table options are indexed");
+                assert!(seen.insert(index), "index {index} repeats");
+            }
+            // Every CPU variant of the full tree is one of its options,
+            // shared Arc and index included.
+            for o in space.cpu_variants() {
+                assert!(
+                    space.all().iter().any(|a| Arc::ptr_eq(a, o)),
+                    "{}",
+                    o.describe()
+                );
+            }
+            // A constrained space reuses the unconstrained entry's Arcs.
+            let single =
+                OptionSpace::enumerate_constrained(&cluster, &Constraints::single_compression());
+            for o in single.all() {
+                assert!(
+                    space.all().iter().any(|a| Arc::ptr_eq(a, o)),
+                    "{}",
+                    o.describe()
+                );
+            }
+            // A clone leaves the table.
+            assert_eq!((*space.all()[0]).clone().table_index(), None);
         }
     }
 

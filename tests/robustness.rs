@@ -53,7 +53,7 @@ fn robust_selection_is_within_10pct_of_brute_force_on_the_degraded_cluster() {
         gpu::default_pattern(&degraded),
         &degraded.cluster,
     )];
-    candidates.extend(space.gpu_compressed().into_iter().take(5));
+    candidates.extend(space.gpu_compressed().iter().take(5).cloned());
     let best = brute::search(&degraded, &candidates, &config, 100_000);
 
     let selection = RobustSelector::new(job, health).select().unwrap();

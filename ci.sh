@@ -33,6 +33,12 @@ step "event order (release)" cargo test --release -q -p espresso-sim \
 
 step "clippy (-D warnings)" cargo clippy --workspace --all-targets -- -D warnings
 
+# The API docs with rustdoc warnings as errors: every intra-doc link must
+# resolve to a public item, so a moved or renamed item cannot leave a
+# dangling or private link behind.
+step "rustdoc (-D warnings)" env RUSTDOCFLAGS="-D warnings" \
+    cargo doc --workspace --no-deps --offline
+
 # The end-to-end benchmark (e2ebench/) is a Cargo workspace of its own,
 # built against the repository's crates by path, so the workspace steps
 # above do not compile it. Building and testing it here catches a

@@ -5,7 +5,7 @@
 //! the ones CI actually benchmarks with — skip that check. This module
 //! is the release-mode counterpart: it simulates a corpus spanning the
 //! six paper models, the paper's three GC algorithms, and a bank of
-//! seeded fault plans, runs [`espresso_sim::audit`] over every resulting
+//! seeded fault plans, runs [`espresso_sim::audit()`] over every resulting
 //! Gantt trace, and reports any violation with enough context to replay
 //! it (`model/algo/option index/fault seed`).
 

@@ -1,6 +1,6 @@
 //! Worker membership: which ranks of a data-parallel job are still alive.
 //!
-//! [`ClusterHealth`](crate::ClusterHealth) models *fabric* degradation;
+//! [`ClusterHealth`] models *fabric* degradation;
 //! this module models *worker* loss — the other failure mode a long
 //! training run must survive. A [`Membership`] starts with every rank of
 //! the configured job alive and records crashes as they happen; its

@@ -142,7 +142,7 @@ impl Lane64 {
     }
 }
 
-/// Lane64 of `bytes` in one call; see the [module docs](self).
+/// Lane64 of `bytes` in one call; see [`Lane64`].
 pub fn lane64(bytes: &[u8]) -> u64 {
     let mut sum = Lane64::new();
     sum.update(bytes);

@@ -17,6 +17,7 @@
 
 use std::fmt;
 
+pub mod durable;
 mod lane64;
 pub use lane64::{lane64, Lane64};
 

@@ -51,7 +51,7 @@ use espresso_json::{enums, DecodeError, FromJson, Json, ToJson};
 
 use crate::cache::fnv1a64;
 use crate::client::ConnectionPool;
-use crate::journal::{Generation, Journal, SnapshotStore};
+use crate::journal::{Journal, SnapshotStore};
 use crate::metrics::Histogram;
 use crate::retry::{deliver_with_pool, DeadLetter, RetryPolicy};
 
@@ -591,25 +591,17 @@ impl FleetController {
         let mut clusters: HashMap<String, Membership> = HashMap::new();
         let mut seq = 0u64;
 
-        if let Some((payload, generation)) = store.load()? {
-            if generation == Generation::Previous {
-                // The current generation was corrupt; re-save the good
-                // payload so the next rotation cannot destroy it.
-                store.save(&payload)?;
-            }
+        if let Some((payload, _)) = store.load()? {
             seq = decode_state(&payload, shard_count, &mut shards, &mut clusters)?;
         }
         // The previous generation's seq bounds journal pruning: records
         // newer than it must survive so the fallback generation stays
-        // replayable. When there is no intact previous generation its
-        // records are unreachable anyway — prune up to the loaded seq.
-        let prev_snapshot_seq = match std::fs::read(store.prev_path()) {
-            Ok(bytes) => match crate::journal::decode_snapshot(&bytes) {
-                Ok(payload) => state_seq(&payload).unwrap_or(0),
-                Err(_) => seq,
-            },
-            Err(_) => seq,
-        };
+        // replayable. When there is no intact previous generation (a
+        // fallback load promoted it to current) its records are
+        // unreachable anyway — prune up to the loaded seq.
+        let prev_snapshot_seq = store
+            .load_prev()
+            .map_or(seq, |payload| state_seq(&payload).unwrap_or(0));
 
         let (journal, records) = Journal::open(config.dir.join("journal.log"))?;
         for record in records {

@@ -15,38 +15,41 @@
 //! append leaves a final record whose frame is incomplete, whose payload
 //! runs past end-of-file, or whose checksum does not match — replay stops
 //! at the first such record and reports the clean prefix length, and
-//! [`Journal::open`] truncates the file back to that prefix so the next
-//! append starts from a well-formed tail.
+//! [`Journal::open`] truncates the file back to that prefix (one
+//! `set_len` on the handle it appends with, so the prefix is never
+//! rewritten) so the next append starts from a well-formed tail.
 //!
 //! # Snapshot format and rotation
 //!
-//! A snapshot bounds replay time: the full state is written as
+//! A snapshot bounds replay time. The full state is written as a framed
+//! file of [`espresso_json::durable`] without a `meta` field, so the whole
+//! payload is kept and any single flipped byte in the file is detected:
 //!
 //! ```text
 //! ESPRESSO-FLEET v1 len=<N> fnv1a64=<16 hex digits>\n
 //! <exactly N bytes of compact JSON payload>
 //! ```
 //!
-//! (the checkpoint layer's header discipline — any single flipped byte
-//! anywhere in the file is detected). [`SnapshotStore::save`] is atomic:
-//! temp write, rotate current to `snapshot.prev.json`, rename into place.
-//! [`SnapshotStore::load`] returns the newest intact generation, falling
-//! back to the previous one when the current file is torn or corrupt —
-//! recovery then replays the journal suffix (records with a sequence
-//! number past the snapshot's) on top, so a corrupt current snapshot
-//! costs nothing but a longer replay.
+//! [`SnapshotStore`] is the durable [`Store`] under the stem `snapshot`.
+//! Recovery replays the journal suffix (records with a sequence number
+//! past the snapshot's) on top, so a corrupt current snapshot costs
+//! nothing but a longer replay.
 //!
-//! Durability note: appends flush to the file (so they survive `kill -9`
-//! of the process — the bytes are in the page cache and the file), but do
-//! not `fsync` (whole-machine power loss can lose the last instants).
-//! That is the same trade the decision cache's clients make, and the
-//! recovery path tolerates the resulting torn tail either way.
+//! Durability note: appends flush to the file, so they survive `kill -9`
+//! of the process (the bytes are in the page cache and the file), as the
+//! snapshot store does. Nothing is fsynced: whole-machine power loss or a
+//! kernel crash can lose the last instants. That is the same trade the
+//! decision cache's clients make, and the recovery path tolerates the
+//! resulting torn tail either way.
 
 use std::fs;
-use std::io::Write;
+use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
+use espresso_json::durable::{self, Format, Store, Sum};
 use espresso_json::fnv1a64;
+
+pub use espresso_json::durable::Generation;
 
 /// Bytes of one record frame before the payload: length, sequence,
 /// checksum.
@@ -131,17 +134,19 @@ impl Journal {
     /// Filesystem failures opening, reading, or repairing the file.
     pub fn open(path: impl Into<PathBuf>) -> std::io::Result<(Journal, Vec<Record>)> {
         let path = path.into();
-        let bytes = match fs::read(&path) {
-            Ok(bytes) => bytes,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-            Err(e) => return Err(e),
-        };
+        let mut file = fs::OpenOptions::new()
+            .create(true)
+            .read(true)
+            .append(true)
+            .open(&path)?;
+        let mut bytes = Vec::new();
+        file.read_to_end(&mut bytes)?;
         let (records, clean_len) = decode_records(&bytes);
         if clean_len < bytes.len() {
-            // Torn tail: repair in place so appends resume cleanly.
-            fs::write(&path, &bytes[..clean_len])?;
+            // Torn tail: cut it off in one truncation, so appends resume
+            // cleanly and the clean prefix is never rewritten.
+            file.set_len(clean_len as u64)?;
         }
-        let file = fs::OpenOptions::new().create(true).append(true).open(&path)?;
         let journal = Journal {
             path,
             file,
@@ -210,209 +215,56 @@ impl Journal {
     }
 }
 
-const MAGIC: &str = "ESPRESSO-FLEET v1";
+/// Why a snapshot could not be read or written: the durable layer's
+/// error.
+pub type SnapshotError = durable::Error;
 
-/// Why a snapshot could not be read or written.
-#[derive(Debug)]
-pub enum SnapshotError {
-    /// Filesystem failure.
-    Io(std::io::Error),
-    /// Files exist but none verifies: bad header, length mismatch,
-    /// checksum mismatch.
-    Corrupt {
-        /// Which file, and what was wrong with it.
-        message: String,
-    },
-}
+const SNAPSHOT: Format = Format {
+    magic: "ESPRESSO-FLEET v1",
+    meta: false,
+    sum: Sum::Fnv1a64,
+};
 
-impl std::fmt::Display for SnapshotError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SnapshotError::Io(e) => write!(f, "snapshot I/O error: {e}"),
-            SnapshotError::Corrupt { message } => write!(f, "corrupt snapshot: {message}"),
-        }
-    }
-}
-
-impl std::error::Error for SnapshotError {}
-
-impl From<std::io::Error> for SnapshotError {
-    fn from(e: std::io::Error) -> Self {
-        SnapshotError::Io(e)
-    }
-}
-
-/// The header line (without its newline) for a payload of `len` bytes
-/// hashing to `hash`.
-fn snapshot_header(len: usize, hash: u64) -> String {
-    format!("{MAGIC} len={len} fnv1a64={hash:016x}")
-}
-
-/// Wraps `payload` in the checksummed snapshot file format.
-pub fn encode_snapshot(payload: &[u8]) -> Vec<u8> {
-    let mut bytes = snapshot_header(payload.len(), fnv1a64(payload)).into_bytes();
-    bytes.push(b'\n');
-    bytes.extend_from_slice(payload);
-    bytes
-}
-
-/// Verifies and unwraps a snapshot file, returning the payload.
-///
-/// # Errors
-///
-/// [`SnapshotError::Corrupt`] naming the first integrity violation: bad
-/// magic, malformed or missing header fields, payload length mismatch, or
-/// checksum mismatch, or a header that is not byte for byte the one
-/// [`encode_snapshot`] writes for the values it parsed to (a tab, an
-/// upper-case hex digit, a `+` sign, a leading zero or reordered fields
-/// all parse to the same values but are damage). Every single-byte
-/// substitution anywhere in the file trips one of these (the same
-/// argument as the checkpoint format: FNV-1a rounds are bijections, so
-/// equal-length payload substitutions always change the hash, and header
-/// damage fails the parse or the re-render).
-pub fn decode_snapshot(bytes: &[u8]) -> Result<Vec<u8>, SnapshotError> {
-    let corrupt = |message: String| SnapshotError::Corrupt { message };
-    let newline = bytes
-        .iter()
-        .position(|&b| b == b'\n')
-        .ok_or_else(|| corrupt("missing header line".into()))?;
-    let header = std::str::from_utf8(&bytes[..newline])
-        .map_err(|_| corrupt("header is not UTF-8".into()))?;
-    let rest = header
-        .strip_prefix(MAGIC)
-        .ok_or_else(|| corrupt(format!("bad magic in header `{header}`")))?;
-    let mut len: Option<usize> = None;
-    let mut hash: Option<u64> = None;
-    for field in rest.split_whitespace() {
-        if let Some(v) = field.strip_prefix("len=") {
-            len = Some(v.parse().map_err(|_| corrupt(format!("bad len field `{v}`")))?);
-        } else if let Some(v) = field.strip_prefix("fnv1a64=") {
-            hash = Some(
-                u64::from_str_radix(v, 16)
-                    .map_err(|_| corrupt(format!("bad fnv1a64 field `{v}`")))?,
-            );
-        } else {
-            return Err(corrupt(format!("unknown header field `{field}`")));
-        }
-    }
-    let len = len.ok_or_else(|| corrupt("header missing len field".into()))?;
-    let hash = hash.ok_or_else(|| corrupt("header missing fnv1a64 field".into()))?;
-    if header != snapshot_header(len, hash) {
-        return Err(corrupt(format!("header `{header}` is not in canonical form")));
-    }
-    let payload = &bytes[newline + 1..];
-    if payload.len() != len {
-        return Err(corrupt(format!(
-            "payload is {} bytes, header says {len} (torn write?)",
-            payload.len()
-        )));
-    }
-    let actual = fnv1a64(payload);
-    if actual != hash {
-        return Err(corrupt(format!(
-            "checksum mismatch: payload hashes to {actual:016x}, header says {hash:016x}"
-        )));
-    }
-    Ok(payload.to_vec())
-}
-
-/// Which snapshot generation a load came from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Generation {
-    /// `snapshot.json` verified.
-    Current,
-    /// `snapshot.json` was missing or corrupt; `snapshot.prev.json`
-    /// verified.
-    Previous,
-}
-
-/// A two-generation snapshot directory, in the mold of the training
-/// runtime's `CheckpointStore`: `snapshot.json` (current) and
-/// `snapshot.prev.json` (previous good generation).
+/// A two-generation snapshot directory: the durable [`Store`] with stem
+/// `snapshot`, so `snapshot.json` (current) and `snapshot.prev.json`
+/// (previous good generation).
 #[derive(Debug, Clone)]
-pub struct SnapshotStore {
-    dir: PathBuf,
-}
+pub struct SnapshotStore(Store);
 
 impl SnapshotStore {
-    /// Opens (creating if needed) the snapshot directory.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::Io`] if the directory cannot be created.
+    /// Opens (creating if needed) the snapshot directory: [`Store::new`].
     pub fn new(dir: impl Into<PathBuf>) -> Result<Self, SnapshotError> {
-        let dir = dir.into();
-        fs::create_dir_all(&dir)?;
-        Ok(Self { dir })
+        Store::new(dir, "snapshot", &[SNAPSHOT]).map(Self)
     }
 
-    /// Path of the current snapshot file.
-    pub fn current_path(&self) -> PathBuf {
-        self.dir.join("snapshot.json")
-    }
-
-    /// Path of the previous-generation snapshot file.
-    pub fn prev_path(&self) -> PathBuf {
-        self.dir.join("snapshot.prev.json")
-    }
-
-    /// Atomically persists `payload`: temp write, rotate current to
-    /// previous, rename into place. A crash between any two operations
-    /// leaves at least one loadable generation.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::Io`] on any filesystem failure.
+    /// Persists `payload` through [`Store::save`].
     pub fn save(&self, payload: &[u8]) -> Result<(), SnapshotError> {
-        let tmp = self.dir.join("snapshot.tmp");
-        {
-            let mut f = fs::File::create(&tmp)?;
-            f.write_all(&encode_snapshot(payload))?;
-        }
-        let current = self.current_path();
-        if current.exists() {
-            fs::rename(&current, self.prev_path())?;
-        }
-        fs::rename(&tmp, &current)?;
-        Ok(())
+        self.0.save(payload, &|_| {})
     }
 
-    /// Loads the newest intact generation's payload. `Ok(None)` when no
-    /// snapshot exists at all (a fresh directory, not an error).
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::Corrupt`] when files exist but none verifies
-    /// (naming the current generation's violation); [`SnapshotError::Io`]
-    /// for filesystem failures other than not-found.
+    /// The newest intact generation's payload, through [`Store::load`].
     pub fn load(&self) -> Result<Option<(Vec<u8>, Generation)>, SnapshotError> {
-        let mut first_corruption: Option<String> = None;
-        for (path, generation) in [
-            (self.current_path(), Generation::Current),
-            (self.prev_path(), Generation::Previous),
-        ] {
-            let bytes = match fs::read(&path) {
-                Ok(bytes) => bytes,
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => continue,
-                Err(e) => return Err(e.into()),
-            };
-            match decode_snapshot(&bytes) {
-                Ok(payload) => return Ok(Some((payload, generation))),
-                Err(e) => {
-                    first_corruption.get_or_insert_with(|| format!("{}: {e}", path.display()));
-                }
-            }
-        }
-        match first_corruption {
-            None => Ok(None),
-            Some(message) => Err(SnapshotError::Corrupt { message }),
-        }
+        self.0.load(|frame, _| Ok(frame.kept))
+    }
+
+    /// The previous generation's payload, when that file verifies.
+    pub fn load_prev(&self) -> Option<Vec<u8>> {
+        self.0.load_prev(|frame, _| Ok(frame.kept)).ok().flatten()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn encode_snapshot(payload: &[u8]) -> Vec<u8> {
+        durable::encode(SNAPSHOT, payload, &|_| {})
+    }
+
+    fn decode_snapshot(bytes: &[u8]) -> Result<Vec<u8>, SnapshotError> {
+        let mut input = std::io::Cursor::new(bytes);
+        durable::read(&mut input, bytes.len() as u64, &[SNAPSHOT]).map(|frame| frame.kept)
+    }
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -546,64 +398,6 @@ mod tests {
         }
     }
 
-    /// `bytes` with its header line replaced by `edit(header)`.
-    fn with_header(bytes: &[u8], edit: impl Fn(&str) -> String) -> Vec<u8> {
-        let newline = bytes.iter().position(|&b| b == b'\n').unwrap();
-        let header = std::str::from_utf8(&bytes[..newline]).unwrap();
-        let edited = edit(header);
-        assert_ne!(edited, header, "the edit must change the header");
-        let mut out = edited.into_bytes();
-        out.extend_from_slice(&bytes[newline..]);
-        out
-    }
-
-    /// A header that parses to the same values as the canonical one but
-    /// is not byte for byte what the encoder writes.
-    fn assert_non_canonical_rejected(edit: impl Fn(&str) -> String) {
-        // The payload is chosen so its checksum has a hex letter to
-        // upper-case.
-        let bytes = encode_snapshot(b"{\"version\":1,\"seq\":3,\"jobs\":[]}");
-        let damaged = with_header(&bytes, edit);
-        assert!(
-            matches!(decode_snapshot(&damaged), Err(SnapshotError::Corrupt { .. })),
-            "header `{}` was accepted",
-            String::from_utf8_lossy(&damaged[..damaged.iter().position(|&b| b == b'\n').unwrap()])
-        );
-    }
-
-    #[test]
-    fn snapshot_header_with_a_tab_is_corrupt() {
-        assert_non_canonical_rejected(|h| h.replacen(" len=", "\tlen=", 1));
-    }
-
-    #[test]
-    fn snapshot_header_with_upper_case_hex_is_corrupt() {
-        assert_non_canonical_rejected(|h| {
-            let (head, hex) = h.rsplit_once('=').unwrap();
-            format!("{head}={}", hex.to_uppercase())
-        });
-    }
-
-    #[test]
-    fn snapshot_header_with_a_plus_sign_is_corrupt() {
-        assert_non_canonical_rejected(|h| h.replacen("len=", "len=+", 1));
-    }
-
-    #[test]
-    fn snapshot_header_with_leading_zeros_is_corrupt() {
-        assert_non_canonical_rejected(|h| h.replacen("len=", "len=00", 1));
-    }
-
-    #[test]
-    fn snapshot_header_with_reordered_fields_is_corrupt() {
-        assert_non_canonical_rejected(|h| {
-            let mut fields: Vec<&str> = h.split(' ').collect();
-            let n = fields.len();
-            fields.swap(n - 2, n - 1);
-            fields.join(" ")
-        });
-    }
-
     #[test]
     fn store_rotates_and_falls_back_on_corruption() {
         let dir = temp_dir("store");
@@ -614,24 +408,71 @@ mod tests {
         store.save(b"gen-2").unwrap();
         let (payload, generation) = store.load().unwrap().unwrap();
         assert_eq!((payload.as_slice(), generation), (b"gen-2".as_slice(), Generation::Current));
-        assert!(store.prev_path().exists());
+        assert!(store.0.prev_path().exists());
 
         // Corrupt the current generation: load falls back to previous.
-        let mut bytes = fs::read(store.current_path()).unwrap();
+        let mut bytes = fs::read(store.0.current_path()).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xff;
-        fs::write(store.current_path(), &bytes).unwrap();
+        fs::write(store.0.current_path(), &bytes).unwrap();
         let (payload, generation) = store.load().unwrap().unwrap();
         assert_eq!((payload.as_slice(), generation), (b"gen-1".as_slice(), Generation::Previous));
 
-        // Corrupt both: a Corrupt error naming the current file.
-        fs::write(store.prev_path(), b"garbage").unwrap();
+        // Corrupt both (the fallback made gen-1 current again): a Corrupt
+        // error naming the current file.
+        fs::write(store.0.current_path(), &bytes).unwrap();
+        fs::write(store.0.prev_path(), b"garbage").unwrap();
         match store.load() {
             Err(SnapshotError::Corrupt { message }) => {
                 assert!(message.contains("snapshot.json"), "{message}");
             }
             other => panic!("expected Corrupt, got {other:?}"),
         }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A snapshot as the writer wrote it before the framing moved into
+    /// `espresso_json::durable`, and its payload.
+    const FIXTURE: &[u8] = include_bytes!("../tests/fixtures/small.v1.snapshot");
+    const FIXTURE_PAYLOAD: &[u8] = br#"{"version":1,"seq":9,"clusters":{},"jobs":[]}"#;
+
+    #[test]
+    fn an_earlier_snapshot_decodes_and_is_rewritten_byte_for_byte() {
+        assert_eq!(decode_snapshot(FIXTURE).unwrap(), FIXTURE_PAYLOAD);
+        let dir = temp_dir("fixture");
+        let store = SnapshotStore::new(&dir).unwrap();
+        store.save(FIXTURE_PAYLOAD).unwrap();
+        assert_eq!(fs::read(store.0.current_path()).unwrap(), FIXTURE);
+        let (payload, generation) = store.load().unwrap().unwrap();
+        assert_eq!(
+            (payload.as_slice(), generation),
+            (FIXTURE_PAYLOAD, Generation::Current)
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A load that falls back promotes the previous generation, so the
+    /// next save rotates it, not the corrupt file, into
+    /// `snapshot.prev.json`.
+    #[test]
+    fn a_fallback_load_keeps_the_good_generation_through_the_next_save() {
+        let dir = temp_dir("promote");
+        let store = SnapshotStore::new(&dir).unwrap();
+        store.save(b"gen-1").unwrap();
+        store.save(b"gen-2").unwrap();
+        let mut bytes = fs::read(store.0.current_path()).unwrap();
+        let last = bytes.len() - 1;
+        bytes[last] ^= 0x01;
+        fs::write(store.0.current_path(), &bytes).unwrap();
+        let (payload, generation) = store.load().unwrap().unwrap();
+        assert_eq!(
+            (payload.as_slice(), generation),
+            (b"gen-1".as_slice(), Generation::Previous)
+        );
+        store.save(b"gen-3").unwrap();
+        let prev = fs::read(store.0.prev_path()).unwrap();
+        assert_eq!(decode_snapshot(&prev).unwrap(), b"gen-1");
+        assert_eq!(store.load_prev().unwrap(), b"gen-1");
         let _ = fs::remove_dir_all(&dir);
     }
 }

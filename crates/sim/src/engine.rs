@@ -54,7 +54,7 @@
 //!   keying by the candidate's block-id sequence, so re-encounters of a
 //!   strategy (multi-pass sweeps, odometer overlap) cost a hash lookup.
 //!
-//! With those in place the event loop is the cost, so [`run_plan`] keeps
+//! With those in place the event loop is the cost, so `run_plan` keeps
 //! it lean: ready events bypass the heap through a sorted FIFO, event
 //! keys are one `u128`, the resync check sorts nothing it can avoid and
 //! allocates nothing, and the abort bound's clock-free terms are cached

@@ -28,7 +28,7 @@
 //!   (worker crashes, dropped gradient pushes, slow windows, fabric
 //!   degradation),
 //! * [`runtime`] — the loop that reacts: elastic recovery from worker
-//!   loss, online re-planning through [`espresso::replan`], and the
+//!   loss, online re-planning through [`espresso::Planner::replan`], and the
 //!   `DegradationMonitor`-driven FP32 fallback with recovery hysteresis.
 
 pub mod checkpoint;

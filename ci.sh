@@ -26,10 +26,14 @@ step "fp16 sweep (release)" cargo test --release -q -p espresso-gc fp16
 # replaced (spans bit for bit: from scratch, faulted, resumed from delta
 # checkpoints), the allocations per planner trial and per compiled block,
 # with the debug oracles off — the allocation counts are pinned in
-# release builds only — and the direct block compile against the
-# historical task expansion over every option (debug builds sample).
+# release builds only — the direct block compile against the historical
+# task expansion over every option (debug builds sample), and the
+# checkpoint pin against from-scratch runs of every single-swap trial at
+# bases along a planner run, zoo models on 1x4 and 2x4 clusters (release
+# only: hundreds of thousands of simulations).
 step "event order (release)" cargo test --release -q -p espresso-sim \
-    --test event_order --test alloc_per_trial --test compile_oracle
+    --test event_order --test alloc_per_trial --test compile_oracle \
+    --test pin_soundness
 
 step "clippy (-D warnings)" cargo clippy --workspace --all-targets -- -D warnings
 

@@ -211,7 +211,14 @@ pub fn decide_fast(
 ) -> GpuDecision {
     let job = sim.job();
     let n = job.num_tensors();
-    let mut strategy = Strategy::uncompressed(n, default_pattern(job), &job.cluster);
+    // The all-uncompressed start, as the option table's own `Arc` where
+    // the tree holds it, so the block interner keys it by table index.
+    let start = CompressionOption::uncompressed(default_pattern(job), &job.cluster);
+    let start = OptionSpace::enumerate(&job.cluster)
+        .find(&start)
+        .cloned()
+        .unwrap_or(start);
+    let mut strategy = Strategy::uniform(n, start);
     let mut simulations = 0usize;
 
     let order_for_pass = |pass: usize| -> Vec<usize> {
@@ -259,14 +266,13 @@ pub fn decide_fast(
             let elems = job.model.tensors[idx].elems;
             let deduped = dedup_cache
                 .entry(elems)
-                .or_insert_with(|| dedup_for_size(candidates, elems, job))
-                .clone();
+                .or_insert_with(|| dedup_for_size(candidates, elems, job));
 
             let best_option = crate::decision::best_swap(
                 &delta,
                 &strategy,
                 idx,
-                &deduped,
+                deduped,
                 true,
                 pool,
                 &mut best_time,

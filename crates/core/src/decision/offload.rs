@@ -19,9 +19,8 @@
 
 use std::sync::Arc;
 
-use espresso_gc::Device;
 use espresso_sim::{Job, SimConfig, Simulator};
-use espresso_strategy::{CompressionOption, Strategy};
+use espresso_strategy::{CompressionOption, OptionSpace, Strategy};
 
 /// Outcome of Algorithm 2.
 #[derive(Debug, Clone)]
@@ -140,10 +139,11 @@ pub fn decide_with_simulator(
         .try_fold(1usize, |acc, n| acc.checked_mul(n))
         .unwrap_or(usize::MAX);
 
+    let cpu = cpu_variants(job, &groups);
     if total <= max_combinations {
-        exhaustive(sim, base, &groups)
+        exhaustive(sim, base, &groups, &cpu)
     } else {
-        greedy(sim, base, &groups)
+        greedy(sim, base, &groups, &cpu)
     }
 }
 
@@ -169,11 +169,12 @@ pub fn decide_fast(sim: &Simulator, base: &Strategy, max_combinations: usize) ->
         .try_fold(1usize, |acc, n| acc.checked_mul(n))
         .unwrap_or(usize::MAX);
 
+    let cpu = cpu_variants(job, &groups);
     let mut delta = sim.delta(base);
     if total <= max_combinations {
-        exhaustive_fast(&delta, base, &groups)
+        exhaustive_fast(&delta, base, &groups, &cpu)
     } else {
-        greedy_fast(&mut delta, base, &groups)
+        greedy_fast(&mut delta, base, &groups, &cpu)
     }
 }
 
@@ -185,14 +186,14 @@ fn exhaustive_fast(
     delta: &espresso_sim::DeltaSim<'_>,
     base: &Strategy,
     groups: &[OffloadGroup],
+    cpu: &[Arc<CompressionOption>],
 ) -> OffloadDecision {
-    let cpu = cpu_variants(groups);
     let mut u = vec![0usize; groups.len()];
     let mut best_u = u.clone();
     let mut best_time = f64::INFINITY;
     let mut combinations = 0usize;
     loop {
-        let (s, _) = apply(base, groups, &cpu, &u);
+        let (s, _) = apply(base, groups, cpu, &u);
         combinations += 1;
         if let Some(t) = delta.eval_bounded(&s, best_time) {
             if t < best_time {
@@ -203,7 +204,7 @@ fn exhaustive_fast(
         let mut i = 0;
         loop {
             if i == groups.len() {
-                let (strategy, offloaded) = apply(base, groups, &cpu, &best_u);
+                let (strategy, offloaded) = apply(base, groups, cpu, &best_u);
                 return OffloadDecision {
                     strategy,
                     iteration_time: best_time,
@@ -227,8 +228,8 @@ fn greedy_fast(
     delta: &mut espresso_sim::DeltaSim<'_>,
     base: &Strategy,
     groups: &[OffloadGroup],
+    cpu: &[Arc<CompressionOption>],
 ) -> OffloadDecision {
-    let cpu = cpu_variants(groups);
     let mut u = vec![0usize; groups.len()];
     let mut combinations = 1usize;
     // The reference's first combination is `apply(u = 0)` — the base
@@ -238,7 +239,7 @@ fn greedy_fast(
         let mut best_digit = 0usize;
         for digit in 1..=2 * group.tensors.len() {
             u[gi] = digit;
-            let (s, _) = apply(base, groups, &cpu, &u);
+            let (s, _) = apply(base, groups, cpu, &u);
             combinations += 1;
             if let Some(t) = delta.eval_bounded(&s, best_time - 1e-12) {
                 if t < best_time - 1e-12 {
@@ -249,11 +250,11 @@ fn greedy_fast(
         }
         u[gi] = best_digit;
         if best_digit != 0 {
-            let (s, _) = apply(base, groups, &cpu, &u);
+            let (s, _) = apply(base, groups, cpu, &u);
             delta.rebase(&s, best_time);
         }
     }
-    let (strategy, offloaded) = apply(base, groups, &cpu, &u);
+    let (strategy, offloaded) = apply(base, groups, cpu, &u);
     OffloadDecision {
         strategy,
         iteration_time: best_time,
@@ -290,23 +291,30 @@ fn apply(
     (s, offloaded)
 }
 
-/// CPU variants of each group's option, materialized once.
-fn cpu_variants(groups: &[OffloadGroup]) -> Vec<Arc<CompressionOption>> {
+/// CPU variants of each group's option, materialized once: the option
+/// table's own `Arc`s where the cluster's space holds them, so the block
+/// interner keys them by table index.
+fn cpu_variants(job: &Job, groups: &[OffloadGroup]) -> Vec<Arc<CompressionOption>> {
+    let space = OptionSpace::enumerate(&job.cluster);
     groups
         .iter()
-        .map(|g| g.option.with_device(Device::Cpu))
+        .map(|g| space.cpu_variant(&g.option))
         .collect()
 }
 
 /// Traverses the full `prod(|G_i| + 1)` product space.
-fn exhaustive(sim: &Simulator, base: &Strategy, groups: &[OffloadGroup]) -> OffloadDecision {
-    let cpu = cpu_variants(groups);
+fn exhaustive(
+    sim: &Simulator,
+    base: &Strategy,
+    groups: &[OffloadGroup],
+    cpu: &[Arc<CompressionOption>],
+) -> OffloadDecision {
     let mut u = vec![0usize; groups.len()];
     let mut best_u = u.clone();
     let mut best_time = f64::INFINITY;
     let mut combinations = 0usize;
     loop {
-        let (s, _) = apply(base, groups, &cpu, &u);
+        let (s, _) = apply(base, groups, cpu, &u);
         let t = sim.iteration_time(&s);
         combinations += 1;
         if t < best_time {
@@ -318,7 +326,7 @@ fn exhaustive(sim: &Simulator, base: &Strategy, groups: &[OffloadGroup]) -> Offl
         let mut i = 0;
         loop {
             if i == groups.len() {
-                let (strategy, offloaded) = apply(base, groups, &cpu, &best_u);
+                let (strategy, offloaded) = apply(base, groups, cpu, &best_u);
                 return OffloadDecision {
                     strategy,
                     iteration_time: best_time,
@@ -338,12 +346,16 @@ fn exhaustive(sim: &Simulator, base: &Strategy, groups: &[OffloadGroup]) -> Offl
 
 /// Greedy fallback: optimize each group's offload count in turn, holding
 /// the others fixed. Used only above the combination cap.
-fn greedy(sim: &Simulator, base: &Strategy, groups: &[OffloadGroup]) -> OffloadDecision {
-    let cpu = cpu_variants(groups);
+fn greedy(
+    sim: &Simulator,
+    base: &Strategy,
+    groups: &[OffloadGroup],
+    cpu: &[Arc<CompressionOption>],
+) -> OffloadDecision {
     let mut u = vec![0usize; groups.len()];
     let mut combinations = 0usize;
     let mut best_time = {
-        let (s, _) = apply(base, groups, &cpu, &u);
+        let (s, _) = apply(base, groups, cpu, &u);
         combinations += 1;
         sim.iteration_time(&s)
     };
@@ -351,7 +363,7 @@ fn greedy(sim: &Simulator, base: &Strategy, groups: &[OffloadGroup]) -> OffloadD
         let mut best_digit = 0usize;
         for digit in 1..=2 * group.tensors.len() {
             u[gi] = digit;
-            let (s, _) = apply(base, groups, &cpu, &u);
+            let (s, _) = apply(base, groups, cpu, &u);
             let t = sim.iteration_time(&s);
             combinations += 1;
             if t < best_time - 1e-12 {
@@ -361,7 +373,7 @@ fn greedy(sim: &Simulator, base: &Strategy, groups: &[OffloadGroup]) -> OffloadD
         }
         u[gi] = best_digit;
     }
-    let (strategy, offloaded) = apply(base, groups, &cpu, &u);
+    let (strategy, offloaded) = apply(base, groups, cpu, &u);
     OffloadDecision {
         strategy,
         iteration_time: best_time,
@@ -375,6 +387,7 @@ mod tests {
     use super::*;
     use crate::decision::gpu;
     use espresso_cluster::Cluster;
+    use espresso_gc::Device;
     use espresso_gc::GcAlgorithm;
     use espresso_models::Model;
     use espresso_strategy::OptionSpace;

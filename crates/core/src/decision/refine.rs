@@ -201,6 +201,31 @@ mod tests {
     }
 
     #[test]
+    fn the_fifo_pin_certifies_every_vgg16_backfill_tie() {
+        // VGG16 on one 4-GPU PCIe machine under DGC: no backfill trial
+        // beats the incumbent, whose makespan the GPU's FIFO order holds
+        // — the GPU kernels queued behind each compute delay the next
+        // one. The dependency-only pin ignored that order and certified
+        // none of the 389 trials the static bounds leave; the FIFO-aware
+        // pin certifies all of them, so no trial runs.
+        let job = Job::new(
+            Model::Vgg16.profile(),
+            Cluster::pcie_25g(1, 4),
+            GcAlgorithm::dgc_1pct(),
+        );
+        let sim = Simulator::new(job.clone(), SimConfig::default());
+        let space = OptionSpace::enumerate(&job.cluster);
+        let pool = crate::parallel::EvalPool::new(1);
+        let g = gpu::decide_fast(&sim, space.gpu_compressed(), &pool);
+        let off = offload::decide_fast(&sim, &g.strategy, 150_000);
+        let refined = cpu_backfill_fast(&sim, &off.strategy, space.cpu_variants(), &pool);
+        let t = refined.trials;
+        assert_eq!(t.pruned_pin, 389, "{t:?}");
+        assert_eq!(t.trials(), t.pruned_static + t.pruned_pin, "{t:?}");
+        assert!(refined.backfilled.is_empty());
+    }
+
+    #[test]
     fn backfill_is_a_noop_when_everything_is_compressed() {
         let job = Job::new(
             Model::Lstm.profile(),

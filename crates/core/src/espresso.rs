@@ -153,23 +153,34 @@ impl Espresso {
     /// and evaluation pool — the entry point the differential harness
     /// drives from both sides.
     pub fn select_strategy_with(&self, mode: PlannerMode, pool: &EvalPool) -> (Strategy, Report) {
-        let sim = Simulator::new(self.job.clone(), self.config);
+        self.select_strategy_on(&Simulator::new(self.job.clone(), self.config), mode, pool)
+    }
+
+    /// As [`Espresso::select_strategy_with`], pricing on `sim` — a
+    /// simulator of this selector's job and configuration, such as one
+    /// that shares a [`espresso_sim::BlockTable`] with its siblings.
+    pub(crate) fn select_strategy_on(
+        &self,
+        sim: &Simulator,
+        mode: PlannerMode,
+        pool: &EvalPool,
+    ) -> (Strategy, Report) {
         let t0 = Instant::now();
         let gpu_decision = match mode {
-            PlannerMode::Reference => gpu::decide_with_simulator(&sim, self.space.gpu_compressed()),
-            PlannerMode::Fast => gpu::decide_fast(&sim, self.space.gpu_compressed(), pool),
+            PlannerMode::Reference => gpu::decide_with_simulator(sim, self.space.gpu_compressed()),
+            PlannerMode::Fast => gpu::decide_fast(sim, self.space.gpu_compressed(), pool),
         };
         let gpu_decision_seconds = t0.elapsed().as_secs_f64();
 
         let t1 = Instant::now();
         let off = match mode {
             PlannerMode::Reference => offload::decide_with_simulator(
-                &sim,
+                sim,
                 &gpu_decision.strategy,
                 self.max_offload_combinations,
             ),
             PlannerMode::Fast => {
-                offload::decide_fast(&sim, &gpu_decision.strategy, self.max_offload_combinations)
+                offload::decide_fast(sim, &gpu_decision.strategy, self.max_offload_combinations)
             }
         };
         let offload_seconds = t1.elapsed().as_secs_f64();
@@ -177,10 +188,10 @@ impl Espresso {
         let t2 = Instant::now();
         let refined = match mode {
             PlannerMode::Reference => {
-                refine::cpu_backfill(&sim, &off.strategy, self.space.cpu_variants())
+                refine::cpu_backfill(sim, &off.strategy, self.space.cpu_variants())
             }
             PlannerMode::Fast => {
-                refine::cpu_backfill_fast(&sim, &off.strategy, self.space.cpu_variants(), pool)
+                refine::cpu_backfill_fast(sim, &off.strategy, self.space.cpu_variants(), pool)
             }
         };
         let backfill_seconds = t2.elapsed().as_secs_f64();

@@ -21,9 +21,11 @@
 //!   divergence recommends falling back to the always-safe BytePS-FP32
 //!   strategy ([`DegradationMonitor::fallback_strategy`]).
 
+use std::sync::Arc;
+
 use espresso_cluster::ClusterHealth;
 use espresso_models::{ModelProfile, TraceCollector};
-use espresso_sim::{FaultPlan, Job, SimConfig, Simulator};
+use espresso_sim::{BlockTable, FaultPlan, Job, SimConfig, Simulator};
 use espresso_strategy::Strategy;
 
 use crate::baselines::{self, Baseline};
@@ -253,6 +255,22 @@ impl RobustSelector {
         pool: &EvalPool,
         nominal: Option<Strategy>,
     ) -> Result<RobustSelection, EspressoError> {
+        self.select_sharing(mode, pool, nominal)
+            .map(|(selection, _)| selection)
+    }
+
+    /// The selection, and the block table its degraded-cluster
+    /// simulators shared. The degraded selection, the scenario
+    /// selections and the pricing jobs all run on the degraded cluster
+    /// and differ only in compute times, which no block reads, so each
+    /// distinct block of the request compiles once, whichever selection
+    /// asks for it first.
+    fn select_sharing(
+        &self,
+        mode: PlannerMode,
+        pool: &EvalPool,
+        nominal: Option<Strategy>,
+    ) -> Result<(RobustSelection, Arc<BlockTable>), EspressoError> {
         self.envelope.validate()?;
         if let Some(plan) = &self.faults {
             plan.validate()
@@ -281,10 +299,19 @@ impl RobustSelector {
             .chain([degraded_job])
             .chain(ensemble.iter().cloned())
             .collect();
+        let table = Arc::new(BlockTable::new(degraded_cluster, self.config));
+        let simulator = |job: &Job| {
+            if job.cluster == degraded_cluster {
+                Simulator::with_block_table(job.clone(), self.config, table.clone())
+            } else {
+                Simulator::new(job.clone(), self.config)
+            }
+        };
         let mut selections = pool.map(jobs, |job| {
+            let sim = simulator(&job);
             Espresso::new(job)
                 .with_config(self.config)
-                .select_strategy_with(mode, &EvalPool::new(1))
+                .select_strategy_on(&sim, mode, &EvalPool::new(1))
                 .0
         });
         if let Some(nominal) = nominal {
@@ -302,10 +329,7 @@ impl RobustSelector {
         // agree (3% noise rarely moves the greedy search), and equal
         // strategies price to equal bits, so each duplicate reads the
         // times of its first occurrence.
-        let sims: Vec<Simulator> = ensemble
-            .iter()
-            .map(|job| Simulator::new(job.clone(), self.config))
-            .collect();
+        let sims: Vec<Simulator> = ensemble.iter().map(simulator).collect();
         let mut rows: Vec<usize> = Vec::with_capacity(candidates.len());
         let mut units: Vec<espresso_sim::PreparedEval> = Vec::new();
         for (i, (_, strategy)) in candidates.iter().enumerate() {
@@ -355,14 +379,15 @@ impl RobustSelector {
             .map(|(i, _)| i)
             .expect("the minimax candidate is always admitted");
         let (score, strategy) = scored[winner].clone();
-        Ok(RobustSelection {
+        let selection = RobustSelection {
             strategy,
             chosen: score.name,
             mean_time: score.mean,
             worst_time: score.worst,
             scenarios: self.envelope.scenarios,
             candidates: scored.into_iter().map(|(s, _)| s).collect(),
-        })
+        };
+        Ok((selection, table))
     }
 }
 
@@ -548,6 +573,28 @@ mod tests {
             Cluster::pcie_25g(2, 4),
             GcAlgorithm::EfSignSgd,
         )
+    }
+
+    #[test]
+    fn a_request_compiles_each_block_once_at_any_pool_width() {
+        // Six selections and five pricing simulators share the degraded
+        // cluster's block table. Whichever thread asks for a block first
+        // compiles it; the others wait for that compile instead of
+        // repeating it, so the table compiles each distinct block once,
+        // and the selection is the same bytes at every width.
+        let selector = RobustSelector::new(small_job(), ClusterHealth::inter_degraded(2.0));
+        let mut first: Option<(String, usize)> = None;
+        for width in [1, 2, 4] {
+            let (selection, table) = selector
+                .select_sharing(PlannerMode::Fast, &EvalPool::new(width), None)
+                .unwrap();
+            assert_eq!(table.compiles(), table.len(), "width {width}");
+            let seen = (format!("{selection:?}"), table.len());
+            match &first {
+                None => first = Some(seen),
+                Some(first) => assert_eq!(first, &seen, "width {width}"),
+            }
+        }
     }
 
     #[test]

@@ -26,7 +26,9 @@
 //! frontier is an index range, every array is sized from the piece and
 //! edge counts before it is filled, and nothing is allocated per task
 //! (`tests/compile_oracle.rs` holds it to the historical expansion bit
-//! for bit). Each simulator interns its own blocks. An option handed out
+//! for bit). Each simulator interns its own block ids; simulators of one
+//! cluster and config (a robust request's) may share the compiled blocks
+//! through a [`BlockTable`]. An option handed out
 //! by an [`espresso_strategy::OptionSpace`] carries a dense index into
 //! the process-wide option table
 //! ([`espresso_strategy::CompressionOption::table_index`]), and the
@@ -52,18 +54,21 @@
 //!   can only tie the base (the checkpoint pin, [`DeltaSim::pin_bound`]).
 //! * `F(S)` memoization ([`Simulator::iteration_time_memo`]) — exact
 //!   keying by the candidate's block-id sequence, so re-encounters of a
-//!   strategy (multi-pass sweeps, odometer overlap) cost a hash lookup.
+//!   strategy (multi-pass sweeps, odometer overlap) cost a hash lookup;
+//!   a [`DeltaSim`] keys its single-swap trials by `(tensor, block id)`
+//!   alone.
 //!
 //! With those in place the event loop is the cost, so `run_plan` keeps
 //! it lean: ready events bypass the heap through a sorted FIFO, event
 //! keys are one `u128`, the resync check sorts nothing it can avoid and
 //! allocates nothing, and the abort bound's clock-free terms are cached
-//! between task starts. A trial that adds no memo entry allocates
-//! nothing (DESIGN.md §14.1).
+//! between task starts. A single-swap trial allocates nothing (DESIGN.md
+//! §14.1).
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use espresso_strategy::Strategy;
 
@@ -313,13 +318,86 @@ fn algo_key(algo: espresso_gc::GcAlgorithm) -> AlgoKey {
     }
 }
 
+/// An option-table option's block key: `(table index, elems, algorithm)`.
+type IndexKey = (u64, usize, AlgoKey);
+
+/// One [`BlockTable`] entry, compiled by the first simulator to reach it.
+type BlockCell = Arc<OnceLock<Arc<Block>>>;
+
+/// Compiled blocks shared by every [`Simulator`] of one cluster and one
+/// [`SimConfig`] — the simulators of one robust request, say, whose
+/// selections and pricing jobs differ only in compute times, which no
+/// block reads.
+///
+/// A block reads only the cluster, the config, the option, the element
+/// count and the algorithm, so the table keys option-table options by
+/// `(table index, elems, algorithm)`, like each simulator's own
+/// interner; options from outside the option table stay per simulator.
+/// Simulators on other threads may ask for one key at once: each key
+/// holds a cell that is compiled outside the table's lock, once, by the
+/// first thread to reach it, while the others wait on that cell alone.
+/// A simulator keeps its own dense block ids, so trials never touch the
+/// table's lock.
+#[derive(Debug)]
+pub struct BlockTable {
+    cluster: espresso_cluster::Cluster,
+    config: SimConfig,
+    cells: Mutex<WordMap<IndexKey, BlockCell>>,
+    compiles: AtomicUsize,
+}
+
+impl BlockTable {
+    /// An empty table for simulators of jobs on `cluster` under `config`.
+    pub fn new(cluster: espresso_cluster::Cluster, config: SimConfig) -> Self {
+        Self {
+            cluster,
+            config,
+            cells: Mutex::new(WordMap::default()),
+            compiles: AtomicUsize::new(0),
+        }
+    }
+
+    /// The number of distinct blocks the table holds.
+    pub fn len(&self) -> usize {
+        self.lock().len()
+    }
+
+    /// Whether no block has been asked for yet.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The number of block compiles the table has run — equal to
+    /// [`BlockTable::len`], since each key compiles once.
+    pub fn compiles(&self) -> usize {
+        self.compiles.load(AtomicOrdering::Relaxed)
+    }
+
+    /// The key map, lock poisoning ignored: a cell is either compiled or
+    /// not, so a panic elsewhere cannot leave the map half-updated.
+    fn lock(&self) -> MutexGuard<'_, WordMap<IndexKey, BlockCell>> {
+        self.cells.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The block for `key`, compiled by `compile` if no simulator has
+    /// asked for it yet.
+    fn get_or_compile(&self, key: IndexKey, compile: impl FnOnce() -> Block) -> Arc<Block> {
+        let cell = self.lock().entry(key).or_default().clone();
+        cell.get_or_init(|| {
+            self.compiles.fetch_add(1, AtomicOrdering::Relaxed);
+            Arc::new(compile())
+        })
+        .clone()
+    }
+}
+
 /// Interned blocks plus the per-simulator evaluation scratch.
 struct SimCache {
     /// Option-table options: `(table index, elems, algo) -> block id`.
     /// The index stands for the option's content for the life of the
     /// process, so a miss compiles without hashing, cloning or pinning
     /// the option.
-    by_index: WordMap<(u64, usize, AlgoKey), u32>,
+    by_index: WordMap<IndexKey, u32>,
     /// Options from outside the table (baselines, `with_device` variants,
     /// decoded or hand-built options), fast identity lookup: `(Arc
     /// pointer, elems, algo) -> block id`. Sound because `pinned` keeps
@@ -335,7 +413,10 @@ struct SimCache {
         std::collections::HashMap<espresso_strategy::CompressionOption, u32>,
     >,
     pinned: Vec<Arc<espresso_strategy::CompressionOption>>,
-    blocks: Vec<Block>,
+    /// Blocks by id; shared with the [`BlockTable`], when there is one,
+    /// for option-table options.
+    blocks: Vec<Arc<Block>>,
+    table: Option<Arc<BlockTable>>,
     /// Exact `F(S)` memo keyed by block-id sequence (fast path only).
     memo: WordMap<Vec<u32>, f64>,
     ids: Vec<u32>,
@@ -344,13 +425,14 @@ struct SimCache {
 }
 
 impl SimCache {
-    fn new() -> Self {
+    fn new(table: Option<Arc<BlockTable>>) -> Self {
         Self {
             by_index: WordMap::default(),
             by_ptr: WordMap::default(),
             by_content: std::collections::HashMap::new(),
             pinned: Vec::new(),
             blocks: Vec::new(),
+            table,
             memo: WordMap::default(),
             ids: Vec::new(),
             plan: Plan::default(),
@@ -373,9 +455,13 @@ impl SimCache {
             if let Some(&id) = self.by_index.get(&key) {
                 return id;
             }
+            let compile = || Block::compile(job, option, elems, algo, config);
+            let block = match &self.table {
+                Some(table) => table.get_or_compile(key, compile),
+                None => Arc::new(compile()),
+            };
             let id = self.blocks.len() as u32;
-            self.blocks
-                .push(Block::compile(job, option, elems, algo, config));
+            self.blocks.push(block);
             self.by_index.insert(key, id);
             return id;
         }
@@ -389,7 +475,7 @@ impl SimCache {
             None => {
                 let id = self.blocks.len() as u32;
                 self.blocks
-                    .push(Block::compile(job, option, elems, algo, config));
+                    .push(Arc::new(Block::compile(job, option, elems, algo, config)));
                 options.insert((**option).clone(), id);
                 id
             }
@@ -762,7 +848,26 @@ impl Simulator {
         Self {
             job,
             config,
-            cache: std::cell::RefCell::new(SimCache::new()),
+            cache: std::cell::RefCell::new(SimCache::new(None)),
+        }
+    }
+
+    /// Builds a simulator for `job` that takes the blocks of
+    /// option-table options from `table`, compiling into it the ones no
+    /// simulator has asked for yet.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `table` was built for `job`'s cluster and `config`.
+    pub fn with_block_table(job: Job, config: SimConfig, table: Arc<BlockTable>) -> Self {
+        assert!(
+            table.cluster == job.cluster && table.config == config,
+            "a block table serves one cluster and one simulator config"
+        );
+        Self {
+            job,
+            config,
+            cache: std::cell::RefCell::new(SimCache::new(Some(table))),
         }
     }
 
@@ -921,6 +1026,7 @@ impl Simulator {
             trial_plan: std::cell::RefCell::new(Plan::default()),
             checkpoints: std::cell::RefCell::new(std::collections::BTreeMap::new()),
             pin_scratch: std::cell::RefCell::new(Vec::new()),
+            swap_memo: std::cell::RefCell::new(WordMap::default()),
             counts: std::cell::Cell::new(TrialCounts::default()),
         }
     }
@@ -995,6 +1101,11 @@ pub struct DeltaSim<'a> {
     /// Per-task earliest finishes while a checkpoint pin is computed
     /// (see [`DeltaSim::pin`]); reused across pins.
     pin_scratch: std::cell::RefCell<Vec<f64>>,
+    /// Exact `F` of single-swap trials against the current base, keyed
+    /// by `(tensor, block id)`: O(1) to key, where the simulator's memo
+    /// hashes the whole block-id sequence. `rebase` keeps only the
+    /// entries the new base still answers.
+    swap_memo: std::cell::RefCell<WordMap<(u32, u32), f64>>,
     counts: std::cell::Cell<TrialCounts>,
 }
 
@@ -1329,43 +1440,37 @@ impl DeltaSim<'_> {
             self.tally(|c| c.pruned_static += 1);
             return None;
         }
-        let mut ids = std::mem::take(&mut cache.ids);
-        ids.clear();
-        ids.extend_from_slice(&self.base_ids);
-        ids[idx] = bid;
         drop(cache);
         if self.pin_prunes(idx as u32, threshold) {
             #[cfg(debug_assertions)]
-            self.check_pin_pruned(&ids, idx as u32, threshold);
-            self.sim.cache.borrow_mut().ids = ids;
+            self.check_pin_pruned(&self.swap_ids(idx, bid), idx as u32, threshold);
             self.tally(|c| c.pruned_pin += 1);
             return None;
         }
-        let mut cache = self.sim.cache.borrow_mut();
-        if let Some(&t) = cache.memo.get(&ids) {
-            cache.ids = ids;
+        if let Some(&t) = self.swap_memo.borrow().get(&(idx as u32, bid)) {
             self.tally(|c| c.memo_hits += 1);
             return Some(t);
         }
-        drop(cache);
-        self.eval_spliced(ids, idx, base_bid, bid, threshold)
+        self.eval_spliced(idx, base_bid, bid, threshold)
+    }
+
+    /// The block ids of the base with tensor `idx` swapped to block
+    /// `bid` — built only for the debug oracles.
+    #[cfg(debug_assertions)]
+    fn swap_ids(&self, idx: usize, bid: u32) -> Vec<u32> {
+        let mut ids = self.base_ids.clone();
+        ids[idx] = bid;
+        ids
     }
 
     /// Suffix re-simulation of the single-swap trial — the base with
     /// tensor `idx`'s block swapped from `old_bid` to `new_bid` — using
     /// splice-assembly against the cached base plan instead of a full
-    /// rebuild; memoizes and returns `F`.
+    /// rebuild; memoizes `F` by `(idx, new_bid)` and returns it.
     /// Returns `None` when the mid-run abort bound certifies
     /// `F(trial) >= threshold` before the suffix completes (same contract
     /// as the static screen in [`DeltaSim::eval_swap`]).
-    fn eval_spliced(
-        &self,
-        ids: Vec<u32>,
-        idx: usize,
-        old_bid: u32,
-        new_bid: u32,
-        threshold: f64,
-    ) -> Option<f64> {
+    fn eval_spliced(&self, idx: usize, old_bid: u32, new_bid: u32, threshold: f64) -> Option<f64> {
         let cp = self.checkpoint(idx as u32);
         let mut cache = self.sim.cache.borrow_mut();
         let base_plan = self.base_plan.borrow();
@@ -1380,7 +1485,7 @@ impl DeltaSim<'_> {
         #[cfg(debug_assertions)]
         {
             let mut check = Plan::default();
-            cache.assemble(&self.sim.job, &ids, &mut check);
+            cache.assemble(&self.sim.job, &self.swap_ids(idx, new_bid), &mut check);
             debug_assert!(
                 plans_identical(&check, &trial),
                 "splice-assembly diverged from full assembly"
@@ -1454,9 +1559,6 @@ impl DeltaSim<'_> {
                     threshold
                 );
             }
-            drop(trial);
-            drop(base_plan);
-            cache.ids = ids;
             return None;
         }
         let makespan = match outcome {
@@ -1490,10 +1592,7 @@ impl DeltaSim<'_> {
             );
         }
         let t = self.sim.job.model.forward_time + makespan;
-        drop(trial);
-        drop(base_plan);
-        cache.memo.insert(ids.clone(), t);
-        cache.ids = ids;
+        self.swap_memo.borrow_mut().insert((idx as u32, new_bid), t);
         Some(t)
     }
 
@@ -1613,21 +1712,39 @@ impl DeltaSim<'_> {
         self.sim.job.model.forward_time + lb - 1e-9
     }
 
-    /// The checkpoint pin at tensor `k`: the largest dependency-only
-    /// earliest finish, from the checkpoint at `k`, over every task
-    /// outside tensor `k`'s stage block — a makespan every trial that
-    /// differs from the base only in that block must reach.
+    /// The checkpoint pin at tensor `k`: the largest earliest finish,
+    /// from the checkpoint at `k`, over every task outside tensor `k`'s
+    /// stage block — a makespan every trial that differs from the base
+    /// only in that block must reach. It prices each single-server
+    /// resource's FIFO order (the GPU, both channels, and the CPU pool
+    /// when `cpu_slots == 1`):
     ///
-    /// A task already started at the checkpoint finishes at its exact
-    /// span end. An unstarted task cannot start before the checkpoint
-    /// clock, before the busy-until time of its resource when that
-    /// resource has a single server, or before its predecessors finish
-    /// (none of which sit in the swapped block: the task graph has no
-    /// cross-tensor stage edges). The event loop computes `start +
-    /// duration` on values at least as large, and rounding is monotone,
-    /// so `forward_time + pin <= F(trial)` holds bit for bit with no
-    /// margin — which is what lets the pin certify a tie with the
-    /// incumbent where the margin-deflated bounds cannot.
+    /// * **Known prefix.** A task started at the checkpoint finishes at
+    ///   its exact span end. A single-server resource then serves the
+    ///   tasks queued at the checkpoint and, after them, those of the
+    ///   pending ready events in key order, back to back, before any
+    ///   other task: the swapped block's roots and everything later are
+    ///   pushed with larger sequence numbers. Their finishes are the
+    ///   event loop's own sums, bit for bit.
+    /// * **Forced order.** A compute, or a stage task whose only
+    ///   predecessor is its tensor's compute, becomes ready the moment a
+    ///   compute finishes, and a compute's successor list is its block's
+    ///   roots followed by the next compute, so these *forced* tasks
+    ///   enter every FIFO in index order, after the prefix. A cursor per
+    ///   resource starts each one no earlier than the forced task before
+    ///   it on that resource finishes; tasks served between them, the
+    ///   swapped block's among them, can only delay it.
+    /// * **Everything else** starts no earlier than its predecessors'
+    ///   finishes and its resource's prefix end (the checkpoint clock on
+    ///   a multi-slot pool).
+    ///
+    /// No task outside the block depends on it (the task graph has no
+    /// cross-tensor stage edges), and the trial replays the prefix bit
+    /// for bit. The event loop computes `start + duration` on values at
+    /// least as large, and rounding is monotone, so `forward_time + pin
+    /// <= F(trial)` holds bit for bit with no margin — which is what
+    /// lets the pin certify a tie with the incumbent where the
+    /// margin-deflated bounds cannot.
     ///
     /// Computed on first use and cached on the checkpoint entry until a
     /// rebase clears it.
@@ -1645,38 +1762,60 @@ impl DeltaSim<'_> {
             .get(k as usize + 1)
             .map_or(n, |&v| v as usize);
         let single_server = [true, self.sim.config.cpu_slots.max(1) == 1, true, true];
-        let started = |i: usize| i <= c && !cp.spans[i].start.is_nan();
-        let mut busy_until = [0.0f64; 4];
-        for i in (0..=c).filter(|&i| started(i)) {
-            let r = resource_idx(plan.meta[i].resource);
-            busy_until[r] = busy_until[r].max(cp.spans[i].end);
-        }
         let mut finish = self.pin_scratch.borrow_mut();
         finish.clear();
-        finish.resize(n, 0.0);
+        finish.resize(n, f64::NAN);
+        // Known prefix. A single-server resource is busy until its
+        // running task ends (its finished tasks ended by the clock).
+        let mut cursor = [cp.now; 4];
+        for i in (0..=c).filter(|&i| !cp.spans[i].start.is_nan()) {
+            let end = cp.spans[i].end;
+            finish[i] = end;
+            let r = resource_idx(plan.meta[i].resource);
+            if single_server[r] {
+                cursor[r] = fmax(cursor[r], end);
+            }
+        }
+        let queued = cp.queues.iter().flatten().copied();
+        let ready = cp
+            .events
+            .iter()
+            .filter(|e| !e.is_finish())
+            .map(|e| e.task());
+        for t in queued.chain(ready) {
+            let m = &plan.meta[t as usize];
+            let r = resource_idx(m.resource);
+            let f = cursor[r] + m.duration;
+            if single_server[r] {
+                cursor[r] = f;
+            }
+            finish[t as usize] = f;
+        }
+        let prefix_end = cursor;
         let mut pin = 0.0f64;
         for i in (0..=c).chain(block_end..n) {
-            let f = if started(i) {
-                cp.spans[i].end
-            } else {
+            if finish[i].is_nan() {
                 let m = &plan.meta[i];
                 let r = resource_idx(m.resource);
-                let mut start = if single_server[r] {
-                    cp.now.max(busy_until[r])
-                } else {
-                    cp.now
-                };
-                for &p in plan.preds(i) {
+                let preds = plan.preds(i);
+                let forced = m.kind == TaskKind::Compute
+                    || matches!(preds, [p] if plan.meta[*p as usize].kind == TaskKind::Compute);
+                let mut start = if forced { cursor[r] } else { prefix_end[r] };
+                for &p in preds {
                     debug_assert!(
                         (p as usize) <= c || (p as usize) >= block_end,
                         "a task outside the block depends on it"
                     );
-                    start = start.max(finish[p as usize]);
+                    debug_assert!(!finish[p as usize].is_nan(), "preds precede their task");
+                    start = fmax(start, finish[p as usize]);
                 }
-                start + m.duration
-            };
-            finish[i] = f;
-            pin = pin.max(f);
+                let f = start + m.duration;
+                if forced && single_server[r] {
+                    cursor[r] = f;
+                }
+                finish[i] = f;
+            }
+            pin = fmax(pin, finish[i]);
         }
         if let Some(entry) = self.checkpoints.borrow_mut().get_mut(&k) {
             entry.pin = Some(pin);
@@ -1777,6 +1916,18 @@ impl DeltaSim<'_> {
                 .filter(|(_, (a, b))| a != b)
                 .map(|(i, _)| i)
                 .collect();
+            // A swap at the changed tensor is the same trial against
+            // either base, and swapping it back is the old base; every
+            // other entry priced a trial the new base no longer spans.
+            let mut swap_memo = self.swap_memo.borrow_mut();
+            match changed[..] {
+                [idx] => {
+                    swap_memo.retain(|&(i, _), _| i as usize == idx);
+                    swap_memo.insert((idx as u32, self.base_ids[idx]), self.base_time);
+                }
+                _ => swap_memo.clear(),
+            }
+            drop(swap_memo);
             let cache = self.sim.cache.borrow();
             let mut base_plan = self.base_plan.borrow_mut();
             if let [idx] = changed[..] {

@@ -300,6 +300,29 @@ impl OptionSpace {
         &self.options.cpu_variants
     }
 
+    /// The space's own `Arc` of `option` (by content), carrying its
+    /// [`CompressionOption::table_index`], or `None` when the space does
+    /// not hold it.
+    pub fn find(&self, option: &CompressionOption) -> Option<&Arc<CompressionOption>> {
+        let all = &self.options.all;
+        all.binary_search_by(|o| (**o).cmp(option))
+            .ok()
+            .map(|at| &all[at])
+    }
+
+    /// `option` with all its compression work moved to the CPU
+    /// ([`CompressionOption::with_device`]): the space's own `Arc` from
+    /// [`OptionSpace::cpu_variants`] when it holds the variant, a fresh
+    /// one otherwise.
+    pub fn cpu_variant(&self, option: &CompressionOption) -> Arc<CompressionOption> {
+        let variant = option.device_variant(Device::Cpu);
+        let cpu = &self.options.cpu_variants;
+        match cpu.binary_search_by(|o| (**o).cmp(&variant)) {
+            Ok(at) => cpu[at].clone(),
+            Err(_) => Arc::new(variant),
+        }
+    }
+
     /// Uncompressed options.
     pub fn uncompressed(&self) -> Vec<Arc<CompressionOption>> {
         self.options

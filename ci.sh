@@ -101,9 +101,10 @@ step "decide" decide_gate
 
 # Multi-core planner path: the kill -9 fleet gate and the decide
 # differential sweep (including its warm-vs-cold cross-request cases)
-# again with ESPRESSO_PLANNER_THREADS=4, so the pool-parallel candidate
-# evaluation inside the fleet replan workers is exercised on every run —
-# byte-identity must hold at any thread count. The batched-replanning
+# again with ESPRESSO_PLANNER_THREADS=4, so the robust ensemble's pool
+# fan-out (whole selections and the pricing matrix) is diffed
+# fast-vs-reference and exercised inside the fleet replan workers on
+# every run — byte-identity must hold at any thread count. The batched-replanning
 # throughput gate itself (≥3x shared-spec, ≤5% unique-spec regression)
 # runs inside the "fleet bench" step above. The last run repeats the
 # fleet gate with the planner memo disabled (ESPRESSO_WARM_STARTS=0), so

@@ -135,9 +135,9 @@ fn goldens_step(args: &Args) -> bool {
             println!("   {} diverged: {}", diff.case.label(), diff.message);
             ok = false;
         }
-        // Also re-run the selection itself (fast path unless
-        // ESPRESSO_REFERENCE_PLANNER=1): the snapshot must pin the
-        // planner's decisions, not just the simulator's timing.
+        // Also re-run the selection itself on the fast planner: the
+        // snapshot must pin the planner's decisions, not just the
+        // simulator's timing.
         if let Err(diff) = goldens::check_selection(&case, &dir) {
             println!("   {} selection diverged: {}", diff.case.label(), diff.message);
             ok = false;

@@ -1,8 +1,8 @@
 //! The planner fast-path differential sweep (`espresso-audit decide`).
 //!
 //! The fast planner ([`PlannerMode::Fast`]: incremental delta
-//! re-simulation, certified lower-bound pruning, resync early-exit, and
-//! pool-parallel candidate evaluation) promises to be *byte-identical*
+//! re-simulation, certified lower-bound pruning and resync early-exit)
+//! promises to be *byte-identical*
 //! to the from-scratch reference loops — same strategies, same
 //! deterministic report counters, same timelines, bit for bit. This
 //! sweep is the promise's enforcement: for every sampled case it runs
@@ -13,8 +13,10 @@
 //! (nominal → degraded → faulted scenarios, cycling), with every fourth
 //! seed additionally carrying a per-tensor ratio plan so the layerwise
 //! `tensor_algos` pricing path is diffed too. Degraded and faulted
-//! cases also run the full [`RobustSelector`] ensemble on both paths —
-//! that is where the pool-parallel pricing matrix lives.
+//! cases also run the full [`RobustSelector`] ensemble on both paths, on
+//! the pool `ESPRESSO_PLANNER_THREADS` sets ([`EvalPool::from_env`]) —
+//! that is where the planner's only fan-out lives: whole selections and
+//! the pricing matrix.
 //!
 //! Any divergence is rendered as a self-contained JSON reproduction
 //! (seed + case shape + the first differing field), in the style of the
@@ -295,10 +297,10 @@ fn diff_robust(fast: &RobustSelection, reference: &RobustSelection, out: &mut Ve
 /// auditor, and (optionally) the robust ensemble, fast versus reference.
 pub fn check_case(case: &AuditCase, config: &DecideConfig) -> CaseResult {
     let sim_config = SimConfig::default();
-    let pool = EvalPool::new(1);
+    let pool = EvalPool::from_env();
     let espresso = Espresso::new(case.job.clone());
-    let (s_ref, r_ref) = espresso.select_strategy_with(PlannerMode::Reference, &pool);
-    let (s_fast, r_fast) = espresso.select_strategy_with(PlannerMode::Fast, &pool);
+    let (s_ref, r_ref) = espresso.select_strategy_with(PlannerMode::Reference);
+    let (s_fast, r_fast) = espresso.select_strategy_with(PlannerMode::Fast);
 
     let mut mismatches = Vec::new();
     if s_fast != s_ref {

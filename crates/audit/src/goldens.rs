@@ -256,9 +256,8 @@ pub fn check(case: &GoldenCase, dir: &Path) -> Result<(), GoldenDiff> {
     Ok(())
 }
 
-/// Re-runs the full selection pipeline for `case` — on the planner mode
-/// configured in the environment, which is the fast path unless
-/// `ESPRESSO_REFERENCE_PLANNER=1` — and byte-compares the regenerated
+/// Re-runs the full selection pipeline for `case` on the fast planner
+/// and byte-compares the regenerated
 /// document against the snapshot. Where [`check`] pins the *simulator*
 /// (re-simulating the stored strategy), this pins the *planner*: any
 /// drift in the fast path's accept decisions changes the selected

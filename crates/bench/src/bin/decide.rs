@@ -22,7 +22,7 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
-use espresso::{Espresso, EvalPool, PlannerMode};
+use espresso::{Espresso, PlannerMode};
 use espresso_bench::Table;
 use espresso_cluster::Cluster;
 use espresso_gc::GcAlgorithm;
@@ -100,16 +100,15 @@ fn evaluate(model: Model) -> Row {
         Cluster::pcie_25g(1, 4),
         GcAlgorithm::randomk_1pct(),
     );
-    let pool = EvalPool::new(1);
     let (reference_ms, _) = measure(|| {
         let esp = Espresso::new(job.clone());
-        std::hint::black_box(esp.select_strategy_with(PlannerMode::Reference, &pool));
+        std::hint::black_box(esp.select_strategy_with(PlannerMode::Reference));
     });
     let (fast_ms, fast_reps) = measure(|| {
         let esp = Espresso::new(job.clone());
-        std::hint::black_box(esp.select_strategy_with(PlannerMode::Fast, &pool));
+        std::hint::black_box(esp.select_strategy_with(PlannerMode::Fast));
     });
-    let (_, report) = Espresso::new(job.clone()).select_strategy_with(PlannerMode::Fast, &pool);
+    let (_, report) = Espresso::new(job.clone()).select_strategy_with(PlannerMode::Fast);
     Row {
         model,
         tensors: job.num_tensors(),

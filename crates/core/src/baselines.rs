@@ -21,7 +21,7 @@ use std::sync::Arc;
 use espresso_cluster::{CommPattern, CommScope, Routine};
 use espresso_gc::Device;
 use espresso_sim::Job;
-use espresso_strategy::{CompressionOption, Op, Strategy};
+use espresso_strategy::{CompressionOption, Op, OptionSpace, Strategy};
 
 /// The comparison systems (and Espresso's Upper Bound) of section 5.1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -68,12 +68,16 @@ impl Baseline {
 
 /// The hierarchical no-compression plan (BytePS).
 pub fn fp32(job: &Job) -> Strategy {
-    let pattern = if job.cluster.is_multi_machine() {
-        CommPattern::Hierarchical
-    } else {
-        CommPattern::Flat
-    };
-    Strategy::uncompressed(job.num_tensors(), pattern, &job.cluster)
+    let pattern = crate::decision::gpu::default_pattern(job);
+    let option = CompressionOption::uncompressed(pattern, &job.cluster);
+    Strategy::uniform(job.num_tensors(), canonical(job, option))
+}
+
+/// `option` as the option table's own `Arc` where the table holds it,
+/// so the simulator's block interner keys a baseline's blocks by table
+/// index and a robust request's pricing simulators share them.
+fn canonical(job: &Job, option: Arc<CompressionOption>) -> Arc<CompressionOption> {
+    OptionSpace::enumerate(&job.cluster).canonical(option)
 }
 
 /// The inter-machine-compressed option of the compression baselines.
@@ -94,7 +98,7 @@ pub fn fp32(job: &Job) -> Strategy {
 pub fn inter_compressed_option(job: &Job, device: Device) -> Arc<CompressionOption> {
     let c = &job.cluster;
     if !c.is_multi_machine() && !c.has_intra_comm() {
-        return CompressionOption::uncompressed(CommPattern::Flat, c);
+        return canonical(job, CompressionOption::uncompressed(CommPattern::Flat, c));
     }
     let mut ops = Vec::new();
     match device {
@@ -131,8 +135,9 @@ pub fn inter_compressed_option(job: &Job, device: Device) -> Arc<CompressionOpti
             }
         }
     }
-    CompressionOption::new(CommPattern::Hierarchical, ops, c)
-        .expect("inter-compressed baseline option must be valid")
+    let option = CompressionOption::new(CommPattern::Hierarchical, ops, c)
+        .expect("inter-compressed baseline option must be valid");
+    canonical(job, option)
 }
 
 /// All tensors compressed for inter-machine communication on `device`
@@ -277,8 +282,9 @@ impl Crippled {
         if c.has_intra_comm() {
             ops.push(Op::comm(CommScope::IntraSecond, Routine::Allgather, false));
         }
-        CompressionOption::new(CommPattern::Hierarchical, ops, c)
-            .expect("inter-alltoall option must be valid")
+        let option = CompressionOption::new(CommPattern::Hierarchical, ops, c)
+            .expect("inter-alltoall option must be valid");
+        canonical(job, option)
     }
 
     /// The Alltoall+Alltoall option of the Figure 15(d) mechanism.
@@ -302,8 +308,9 @@ impl Crippled {
             // Second intra step: Allgather of the dense shards.
             Op::comm(CommScope::IntraSecond, Routine::Allgather, false),
         ];
-        CompressionOption::new(CommPattern::Hierarchical, ops, c)
-            .expect("alltoall+alltoall option must be valid")
+        let option = CompressionOption::new(CommPattern::Hierarchical, ops, c)
+            .expect("alltoall+alltoall option must be valid");
+        canonical(job, option)
     }
 
     /// Builds this mechanism's strategy for `job` (the bars of Figure 15).
@@ -478,6 +485,31 @@ mod tests {
                 "{}",
                 b.name()
             );
+        }
+    }
+
+    #[test]
+    fn baseline_options_come_from_the_option_table() {
+        // A table option compiles once per block table, keyed by its
+        // index; an option built beside the table would compile apart in
+        // each of a robust request's pricing simulators.
+        for cluster in [
+            Cluster::pcie_25g(8, 8),
+            Cluster::nvlink_100g(8, 8),
+            Cluster::pcie_25g(2, 4),
+            Cluster::pcie_25g(1, 4),
+        ] {
+            let j = Job::new(Model::Vgg16.profile(), cluster, GcAlgorithm::dgc_1pct());
+            for b in Baseline::ALL {
+                for (i, opt) in b.strategy(&j).iter() {
+                    assert!(
+                        opt.table_index().is_some(),
+                        "{} tensor {i} on {cluster:?}: {}",
+                        b.name(),
+                        opt.describe()
+                    );
+                }
+            }
         }
     }
 

@@ -201,24 +201,13 @@ pub fn decide_with_simulator(
 /// ([`espresso_sim::DeltaSim`], re-anchored after every accept),
 /// certified lower-bound pruning (a pruned trial provably cannot pass
 /// the accept test, so skipping its simulation changes nothing), and an
-/// exact memo over repeated candidate timelines. Pools wider than one
-/// worker fan each position's candidate batch out in parallel with the
-/// results folded in canonical order.
-pub fn decide_fast(
-    sim: &Simulator,
-    candidates: &[Arc<CompressionOption>],
-    pool: &crate::parallel::EvalPool,
-) -> GpuDecision {
+/// exact memo over repeated candidate timelines.
+pub fn decide_fast(sim: &Simulator, candidates: &[Arc<CompressionOption>]) -> GpuDecision {
     let job = sim.job();
     let n = job.num_tensors();
-    // The all-uncompressed start, as the option table's own `Arc` where
-    // the tree holds it, so the block interner keys it by table index.
-    let start = CompressionOption::uncompressed(default_pattern(job), &job.cluster);
-    let start = OptionSpace::enumerate(&job.cluster)
-        .find(&start)
-        .cloned()
-        .unwrap_or(start);
-    let mut strategy = Strategy::uniform(n, start);
+    // The all-uncompressed start, built from the option table's own
+    // `Arc` so the block interner keys it by table index.
+    let mut strategy = crate::baselines::fp32(job);
     let mut simulations = 0usize;
 
     let order_for_pass = |pass: usize| -> Vec<usize> {
@@ -274,7 +263,6 @@ pub fn decide_fast(
                 idx,
                 deduped,
                 true,
-                pool,
                 &mut best_time,
                 &mut simulations,
             );

@@ -7,10 +7,8 @@ pub mod refine;
 
 use std::sync::Arc;
 
-use espresso_sim::{simulate, DeltaSim, Job, Screened, SimConfig};
+use espresso_sim::{simulate, DeltaSim, Job, SimConfig};
 use espresso_strategy::{CompressionOption, Strategy};
-
-use crate::parallel::EvalPool;
 
 /// The objective `F(S)`: the iteration time of `job` under strategy `S`
 /// (section 4.4.1). One-shot convenience; the algorithms themselves run
@@ -25,79 +23,31 @@ pub fn iteration_time(job: &Job, strategy: &Strategy, config: &SimConfig) -> f64
 /// exactly the accept sequence of the reference inner loops in
 /// [`gpu::decide_with_simulator`] and [`refine::cpu_backfill`].
 ///
-/// Single-worker pools evaluate serially through
-/// [`DeltaSim::eval_swap`], whose threshold tightens as candidates are
-/// accepted. Wider pools screen every candidate against the
-/// position-entry threshold, fan the live units out, and fold the merged
-/// results in canonical candidate order; a candidate pruned against the
-/// entry threshold is certified no better than every later (smaller)
-/// threshold too, so both schedules accept identical options.
-///
-/// Mirrors the reference loops' working set one-for-one; a parameter
-/// struct would just rename the same eight pieces at both call sites.
-#[allow(clippy::too_many_arguments)]
+/// Candidates are priced serially through [`DeltaSim::eval_swap`], whose
+/// threshold tightens as candidates are accepted. Each accept moves the
+/// incumbent the next trial is priced against, so a selection has no
+/// wider unit of parallel work than one position's batch, and a batch
+/// of single-swap trials costs a few microseconds each.
 pub(crate) fn best_swap(
     delta: &DeltaSim<'_>,
     strategy: &Strategy,
     idx: usize,
     candidates: &[Arc<CompressionOption>],
     skip_current: bool,
-    pool: &EvalPool,
     best_time: &mut f64,
     simulations: &mut usize,
 ) -> Option<Arc<CompressionOption>> {
     let mut best_option: Option<Arc<CompressionOption>> = None;
-    if pool.workers() <= 1 {
-        for cand in candidates {
-            if skip_current && cand == strategy.option(idx) {
-                continue;
-            }
-            *simulations += 1;
-            if let Some(t) = delta.eval_swap(idx, cand, *best_time - 1e-12) {
-                if t < *best_time - 1e-12 {
-                    *best_time = t;
-                    best_option = Some(cand.clone());
-                }
-            }
-        }
-        return best_option;
-    }
-
-    enum Slot {
-        Pruned,
-        Known(f64),
-        Live(usize),
-    }
-    let entry = *best_time - 1e-12;
-    let mut slots: Vec<(&Arc<CompressionOption>, Slot)> = Vec::new();
-    let mut live = Vec::new();
     for cand in candidates {
         if skip_current && cand == strategy.option(idx) {
             continue;
         }
-        let mut trial = strategy.clone();
-        trial.set_option(idx, cand.clone());
-        let slot = match delta.screen(&trial, entry) {
-            Screened::Pruned => Slot::Pruned,
-            Screened::Known(t) => Slot::Known(t),
-            Screened::Live(unit) => {
-                live.push(unit);
-                Slot::Live(live.len() - 1)
-            }
-        };
-        slots.push((cand, slot));
-    }
-    let results = pool.run(live);
-    for (cand, slot) in slots {
         *simulations += 1;
-        let t = match slot {
-            Slot::Pruned => continue,
-            Slot::Known(t) => t,
-            Slot::Live(i) => results[i],
-        };
-        if t < *best_time - 1e-12 {
-            *best_time = t;
-            best_option = Some(cand.clone());
+        if let Some(t) = delta.eval_swap(idx, cand, *best_time - 1e-12) {
+            if t < *best_time - 1e-12 {
+                *best_time = t;
+                best_option = Some(cand.clone());
+            }
         }
     }
     best_option

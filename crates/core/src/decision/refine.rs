@@ -89,8 +89,7 @@ pub fn cpu_backfill(
 
 /// The backfill pass on the planner fast path — byte-compatible with
 /// [`cpu_backfill`] (the differential sweep enforces it), with the same
-/// delta-pricing, pruning, and optional pool fan-out as the fast
-/// Algorithm 1. The reference loop never skips a candidate equal to the
+/// delta-pricing and pruning as the fast Algorithm 1. The reference loop never skips a candidate equal to the
 /// incumbent option (an uncompressed incumbent is never in the
 /// CPU-compressed candidate set), so `best_swap` runs with
 /// `skip_current` off to keep the simulation counts aligned.
@@ -98,7 +97,6 @@ pub fn cpu_backfill_fast(
     sim: &Simulator,
     base: &Strategy,
     cpu: &[Arc<CompressionOption>],
-    pool: &crate::parallel::EvalPool,
 ) -> RefineDecision {
     let job = sim.job();
     let n = job.num_tensors();
@@ -124,7 +122,6 @@ pub fn cpu_backfill_fast(
             idx,
             cpu,
             false,
-            pool,
             &mut best_time,
             &mut simulations,
         );
@@ -186,10 +183,9 @@ mod tests {
         );
         let sim = Simulator::new(job.clone(), SimConfig::default());
         let space = OptionSpace::enumerate(&job.cluster);
-        let pool = crate::parallel::EvalPool::new(1);
-        let g = gpu::decide_fast(&sim, space.gpu_compressed(), &pool);
+        let g = gpu::decide_fast(&sim, space.gpu_compressed());
         let off = offload::decide_fast(&sim, &g.strategy, 150_000);
-        let refined = cpu_backfill_fast(&sim, &off.strategy, space.cpu_variants(), &pool);
+        let refined = cpu_backfill_fast(&sim, &off.strategy, space.cpu_variants());
         let t = refined.trials;
         let certified = t.pruned_static + t.pruned_pin;
         assert!(t.trials() > 1000, "{t:?}");
@@ -215,10 +211,9 @@ mod tests {
         );
         let sim = Simulator::new(job.clone(), SimConfig::default());
         let space = OptionSpace::enumerate(&job.cluster);
-        let pool = crate::parallel::EvalPool::new(1);
-        let g = gpu::decide_fast(&sim, space.gpu_compressed(), &pool);
+        let g = gpu::decide_fast(&sim, space.gpu_compressed());
         let off = offload::decide_fast(&sim, &g.strategy, 150_000);
-        let refined = cpu_backfill_fast(&sim, &off.strategy, space.cpu_variants(), &pool);
+        let refined = cpu_backfill_fast(&sim, &off.strategy, space.cpu_variants());
         let t = refined.trials;
         assert_eq!(t.pruned_pin, 389, "{t:?}");
         assert_eq!(t.trials(), t.pruned_static + t.pruned_pin, "{t:?}");

@@ -7,7 +7,6 @@ use espresso_sim::{Job, SimConfig, Simulator};
 use espresso_strategy::{Constraints, OptionSpace, Strategy};
 
 use crate::decision::{gpu, offload, refine};
-use crate::parallel::EvalPool;
 
 /// Which planner implementation answers a selection request.
 ///
@@ -15,28 +14,16 @@ use crate::parallel::EvalPool;
 /// and produce byte-identical strategies and reports (modulo wall-clock
 /// telemetry); `Fast` prices candidates through the incremental
 /// simulation engine with certified pruning, `Reference` replays every
-/// trial from scratch. The reference path exists as the differential
-/// oracle for the fast one (`espresso-audit decide`) and as an escape
-/// hatch (`ESPRESSO_REFERENCE_PLANNER=1`).
+/// trial from scratch. Every production entry point runs `Fast`; the
+/// reference path is the differential oracle the fast one is held to
+/// (`espresso-audit decide`, the `decide` bench binary and the tests
+/// select it in code).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlannerMode {
-    /// Incremental delta re-simulation with lower-bound pruning (the
-    /// default).
+    /// Incremental delta re-simulation with lower-bound pruning.
     Fast,
     /// The from-scratch reference decision loops.
     Reference,
-}
-
-impl PlannerMode {
-    /// `Reference` when `ESPRESSO_REFERENCE_PLANNER=1` is set, `Fast`
-    /// otherwise.
-    pub fn from_env() -> Self {
-        if std::env::var_os("ESPRESSO_REFERENCE_PLANNER").is_some_and(|v| v == "1") {
-            PlannerMode::Reference
-        } else {
-            PlannerMode::Fast
-        }
-    }
 }
 
 /// Telemetry of one strategy selection (the quantities behind the paper's
@@ -142,33 +129,26 @@ impl Espresso {
     }
 
     /// Selects a near-optimal strategy: Algorithm 1 (GPU compression
-    /// decisions) then Algorithm 2 (optimal CPU offloading), on the
-    /// planner mode and pool configured in the environment
-    /// (`ESPRESSO_REFERENCE_PLANNER`, `ESPRESSO_PLANNER_THREADS`).
+    /// decisions) then Algorithm 2 (optimal CPU offloading), on the fast
+    /// planner.
     pub fn select_strategy(&self) -> (Strategy, Report) {
-        self.select_strategy_with(PlannerMode::from_env(), &EvalPool::from_env())
+        self.select_strategy_with(PlannerMode::Fast)
     }
 
-    /// As [`Espresso::select_strategy`] with an explicit planner mode
-    /// and evaluation pool — the entry point the differential harness
-    /// drives from both sides.
-    pub fn select_strategy_with(&self, mode: PlannerMode, pool: &EvalPool) -> (Strategy, Report) {
-        self.select_strategy_on(&Simulator::new(self.job.clone(), self.config), mode, pool)
+    /// As [`Espresso::select_strategy`] on an explicit planner mode —
+    /// the entry point the differential harness drives from both sides.
+    pub fn select_strategy_with(&self, mode: PlannerMode) -> (Strategy, Report) {
+        self.select_strategy_on(&Simulator::new(self.job.clone(), self.config), mode)
     }
 
     /// As [`Espresso::select_strategy_with`], pricing on `sim` — a
     /// simulator of this selector's job and configuration, such as one
     /// that shares a [`espresso_sim::BlockTable`] with its siblings.
-    pub(crate) fn select_strategy_on(
-        &self,
-        sim: &Simulator,
-        mode: PlannerMode,
-        pool: &EvalPool,
-    ) -> (Strategy, Report) {
+    pub(crate) fn select_strategy_on(&self, sim: &Simulator, mode: PlannerMode) -> (Strategy, Report) {
         let t0 = Instant::now();
         let gpu_decision = match mode {
             PlannerMode::Reference => gpu::decide_with_simulator(sim, self.space.gpu_compressed()),
-            PlannerMode::Fast => gpu::decide_fast(sim, self.space.gpu_compressed(), pool),
+            PlannerMode::Fast => gpu::decide_fast(sim, self.space.gpu_compressed()),
         };
         let gpu_decision_seconds = t0.elapsed().as_secs_f64();
 
@@ -191,7 +171,7 @@ impl Espresso {
                 refine::cpu_backfill(sim, &off.strategy, self.space.cpu_variants())
             }
             PlannerMode::Fast => {
-                refine::cpu_backfill_fast(sim, &off.strategy, self.space.cpu_variants(), pool)
+                refine::cpu_backfill_fast(sim, &off.strategy, self.space.cpu_variants())
             }
         };
         let backfill_seconds = t2.elapsed().as_secs_f64();

@@ -1,17 +1,20 @@
-//! Deterministic parallel candidate evaluation for the planner fast
-//! path, built on the same bounded MPMC queue that feeds the serve
-//! worker pool (the queue lives here so both the planner and
-//! `espresso-serve` share one implementation).
+//! Deterministic parallel fan-out for the planner's robust ensemble,
+//! built on the same bounded MPMC queue that feeds the serve worker pool
+//! (the queue lives here so both the planner and `espresso-serve` share
+//! one implementation).
 //!
-//! [`EvalPool::run`] fans a batch of [`PreparedEval`] units out across a
-//! fixed set of worker threads and returns the results **merged by unit
-//! index**; [`EvalPool::map`] does the same for coarse tasks, such as
-//! whole selections. Each unit is a self-contained plan (plus optional resume
-//! checkpoint / fault plan) whose evaluation touches only a per-worker
-//! scratch, so the value computed for unit `i` is bitwise-identical no
-//! matter which worker ran it or in what order — scheduling affects
-//! wall-clock only, never bytes. The parallel-determinism property test
-//! pins this across worker counts 1/2/8.
+//! [`EvalPool::map`] fans whole selections out across a fixed set of
+//! worker threads and returns the results **merged by item index**;
+//! [`EvalPool::run`] does the same for the ensemble's pricing matrix, a
+//! batch of [`PreparedEval`] units. Each unit is a self-contained plan
+//! (plus an optional fault plan) whose evaluation touches only a
+//! per-worker scratch, so the value computed for unit `i` is
+//! bitwise-identical no matter which worker ran it or in what order —
+//! scheduling affects wall-clock only, never bytes. A single selection
+//! never fans out: Algorithm 1 and the backfill are greedy loops whose
+//! every accept moves the incumbent the next trial is priced against,
+//! and a batch of their trials costs a few microseconds each, less than
+//! handing it to another thread.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, MutexGuard};
@@ -109,7 +112,7 @@ impl<T> BoundedQueue<T> {
     }
 }
 
-/// A fixed-size pool for evaluating candidate strategies in parallel.
+/// A fixed-size pool for the robust ensemble's selections and pricing.
 ///
 /// `workers == 1` (the default) evaluates inline on the caller's thread
 /// with zero setup cost; more workers spawn scoped threads per batch.

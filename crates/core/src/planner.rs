@@ -1,19 +1,21 @@
 //! The one planner handle every long-lived caller holds.
 //!
-//! A [`Planner`] owns the selection memo ([`WarmStartCache`]), its
-//! [`EvalPool`]s, the [`PlannerMode`] and the one [`SimConfig`] that
-//! prices every selection, fault replay and ensemble member. It reads
-//! `ESPRESSO_PLANNER_THREADS`, `ESPRESSO_REFERENCE_PLANNER` and
-//! `ESPRESSO_WARM_STARTS` once, when built. The decision server, the
-//! fleet controller and the training runtime each hold one.
+//! A [`Planner`] owns the selection memo ([`WarmStartCache`]), the
+//! [`EvalPool`] its robust ensemble fans out on and the one [`SimConfig`]
+//! that prices every selection, fault replay and ensemble member. It
+//! reads `ESPRESSO_PLANNER_THREADS` and `ESPRESSO_WARM_STARTS` once, when
+//! built. The decision server, the fleet controller and the training
+//! runtime each hold one. Every selection runs on the fast planner
+//! ([`crate::PlannerMode::Fast`]) and serially: only whole selections of the
+//! ensemble and its pricing matrix are fanned out.
 //!
 //! [`Planner::decide`] and [`Planner::replan`] run one pipeline: the
 //! nominal selection from the memo, then — under degraded health or on
 //! request — the robust selection from the memo, seeded on a miss with
 //! that nominal selection as its `nominal-espresso` candidate. Selections
 //! are pure functions of the memo key's inputs and bit-identical across
-//! modes and pool widths, so every answer equals a cold plan's byte for
-//! byte (modulo the [`Report`]'s wall-clock telemetry).
+//! pool widths, so every answer equals a cold plan's byte for byte
+//! (modulo the [`Report`]'s wall-clock telemetry).
 
 use espresso_cluster::ClusterHealth;
 use espresso_sim::{FaultPlan, Job, SimConfig, Simulator};
@@ -21,7 +23,7 @@ use espresso_strategy::Strategy;
 
 use crate::config::build_job;
 use crate::error::EspressoError;
-use crate::espresso::{Espresso, PlannerMode, Report};
+use crate::espresso::{Espresso, Report};
 use crate::parallel::EvalPool;
 use crate::robust::{RobustSelection, RobustSelector};
 use crate::service::{Decision, DecisionRequest};
@@ -47,14 +49,8 @@ pub struct Replan {
 #[derive(Debug)]
 pub struct Planner {
     memo: WarmStartCache,
-    /// The pool a single selection runs on: the environment's width. A
-    /// training run's nominal selections on its whole thread budget
-    /// raised `train-churn` peak RSS by 9% and gained no speed (2-core
-    /// machine, 10 paired runs).
-    pool: EvalPool,
     /// The pool the robust ensemble fans out on.
     ensemble: EvalPool,
-    mode: PlannerMode,
     config: SimConfig,
 }
 
@@ -71,11 +67,9 @@ impl Planner {
         Self::with_memo(WarmStartCache::new(32, 1))
     }
 
-    /// A planner over `memo`, with the environment's pool width and mode.
+    /// A planner over `memo`, with the environment's ensemble width.
     pub fn with_memo(memo: WarmStartCache) -> Self {
-        let (pool, mode) = (EvalPool::from_env(), PlannerMode::from_env());
-        let config = SimConfig::default();
-        Self { memo, pool, ensemble: pool, mode, config }
+        Self { memo, ensemble: EvalPool::from_env(), config: SimConfig::default() }
     }
 
     /// A planner whose memo is disabled: every plan is cold. The oracle
@@ -85,8 +79,7 @@ impl Planner {
     }
 
     /// Fans the robust ensemble out on `pool` — a training run's thread
-    /// budget — while single selections keep the environment's width.
-    /// Selections are bit-identical for any width.
+    /// budget. Selections are bit-identical for any width.
     #[must_use]
     pub fn with_pool(self, pool: EvalPool) -> Self {
         Self { ensemble: pool, ..self }
@@ -165,7 +158,7 @@ impl Planner {
             Some(hit) => (*hit).clone(),
             None => {
                 let espresso = Espresso::new(job.clone()).with_config(self.config);
-                let sel = espresso.select_strategy_with(self.mode, &self.pool);
+                let sel = espresso.select_strategy();
                 self.memo.insert_nominal(key, sel.clone());
                 sel
             }
@@ -181,7 +174,7 @@ impl Planner {
         if let Some((_, plan)) = faults {
             selector = selector.with_faults(plan.clone());
         }
-        let sel = selector.select_seeded(self.mode, &self.ensemble, Some(nominal.0.clone()))?;
+        let sel = selector.select_seeded(&self.ensemble, Some(nominal.0.clone()))?;
         self.memo.insert_robust(key, sel.clone());
         Ok((nominal, Some(sel)))
     }

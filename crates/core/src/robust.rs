@@ -222,7 +222,7 @@ impl RobustSelector {
     /// [`EspressoError::Config`] for an invalid envelope, and
     /// [`EspressoError::Fault`] for an invalid fault plan.
     pub fn select(&self) -> Result<RobustSelection, EspressoError> {
-        self.select_with(PlannerMode::from_env(), &EvalPool::from_env())
+        self.select_with(PlannerMode::Fast, &EvalPool::from_env())
     }
 
     /// As [`RobustSelector::select`] with an explicit planner mode and
@@ -232,30 +232,29 @@ impl RobustSelector {
     /// path and merged back by index; the candidate-times-ensemble pricing
     /// matrix then fans out across the pool as self-contained evaluation
     /// units merged back in canonical (candidate-major) order. Both
-    /// merges are by index and a selection's result does not depend on
-    /// its pool width, so the selection is bit-identical for any worker
-    /// count.
+    /// merges are by index and a selection runs serially, so the
+    /// selection is bit-identical for any worker count.
     pub fn select_with(
         &self,
         mode: PlannerMode,
         pool: &EvalPool,
     ) -> Result<RobustSelection, EspressoError> {
-        self.select_seeded(mode, pool, None)
+        self.select_sharing(mode, pool, None)
+            .map(|(selection, _)| selection)
     }
 
-    /// As [`RobustSelector::select_with`], with the `nominal-espresso`
+    /// As [`RobustSelector::select`], with the `nominal-espresso`
     /// candidate supplied by a caller that already holds the Espresso
     /// selection for this selector's job and configuration. The planner
     /// is a pure function of those inputs (and bit-identical across
-    /// planner modes and pool widths), so the result is byte-identical
-    /// to recomputing it.
+    /// planner modes), so the result is byte-identical to recomputing
+    /// it.
     pub(crate) fn select_seeded(
         &self,
-        mode: PlannerMode,
         pool: &EvalPool,
         nominal: Option<Strategy>,
     ) -> Result<RobustSelection, EspressoError> {
-        self.select_sharing(mode, pool, nominal)
+        self.select_sharing(PlannerMode::Fast, pool, nominal)
             .map(|(selection, _)| selection)
     }
 
@@ -311,7 +310,7 @@ impl RobustSelector {
             let sim = simulator(&job);
             Espresso::new(job)
                 .with_config(self.config)
-                .select_strategy_on(&sim, mode, &EvalPool::new(1))
+                .select_strategy_on(&sim, mode)
                 .0
         });
         if let Some(nominal) = nominal {
@@ -650,11 +649,9 @@ mod tests {
         let job = small_job();
         let selector = RobustSelector::new(job.clone(), ClusterHealth::inter_degraded(2.0));
         let pool = EvalPool::new(1);
-        let (nominal, _) = Espresso::new(job).select_strategy_with(PlannerMode::Fast, &pool);
+        let (nominal, _) = Espresso::new(job).select_strategy();
         let cold = selector.select_with(PlannerMode::Fast, &pool).unwrap();
-        let seeded = selector
-            .select_seeded(PlannerMode::Fast, &pool, Some(nominal))
-            .unwrap();
+        let seeded = selector.select_seeded(&pool, Some(nominal)).unwrap();
         assert_eq!(seeded.strategy, cold.strategy);
         assert_eq!(seeded.chosen, cold.chosen);
         assert_eq!(seeded.candidates.len(), cold.candidates.len());

@@ -647,9 +647,10 @@ impl FleetController {
         }
 
         // The planner workers. Each popped batch runs one `decide()` —
-        // which itself fans candidate evaluation across the deterministic
-        // `EvalPool` when `ESPRESSO_PLANNER_THREADS` > 1 — and commits
-        // the result to every member.
+        // whose robust ensemble fans whole selections and its pricing
+        // across the deterministic `EvalPool` when
+        // `ESPRESSO_PLANNER_THREADS` > 1 — and commits the result to
+        // every member.
         let workers = (0..inner.config.replan_workers)
             .map(|_| {
                 let inner = Arc::clone(&inner);

@@ -52,11 +52,11 @@
 //!   detected automatically from the block ids. Bounded trials that
 //!   provably cannot beat a threshold are skipped, including those that
 //!   can only tie the base (the checkpoint pin, [`DeltaSim::pin_bound`]).
-//! * `F(S)` memoization ([`Simulator::iteration_time_memo`]) — exact
-//!   keying by the candidate's block-id sequence, so re-encounters of a
-//!   strategy (multi-pass sweeps, odometer overlap) cost a hash lookup;
-//!   a [`DeltaSim`] keys its single-swap trials by `(tensor, block id)`
-//!   alone.
+//! * `F(S)` memoization ([`DeltaSim::eval_bounded`]) — exact keying by
+//!   the candidate's block-id sequence, so re-encounters of a strategy
+//!   (multi-pass sweeps, odometer overlap) cost a hash lookup; a
+//!   [`DeltaSim`] keys its single-swap trials ([`DeltaSim::eval_swap`])
+//!   by `(tensor, block id)` alone.
 //!
 //! With those in place the event loop is the cost, so `run_plan` keeps
 //! it lean: ready events bypass the heap through a sorted FIFO, event
@@ -951,49 +951,6 @@ impl Simulator {
         self.eval(strategy, None, Some(faults))
     }
 
-    /// `F(S)` with exact memoization keyed by the candidate's block-id
-    /// sequence. Bitwise-identical to [`Simulator::iteration_time`] (the
-    /// engine is deterministic, so re-running a sequence reproduces the
-    /// same float); used by the planner fast path, which re-encounters
-    /// strategies across sweep passes and odometer steps.
-    pub fn iteration_time_memo(&self, strategy: &Strategy) -> f64 {
-        let mut cache = self.cache.borrow_mut();
-        cache.block_ids(&self.job, &self.config, strategy, None);
-        if let Some(&t) = cache.memo.get(&cache.ids) {
-            return t;
-        }
-        let ids = std::mem::take(&mut cache.ids);
-        let mut plan = std::mem::take(&mut cache.plan);
-        cache.assemble(&self.job, &ids, &mut plan);
-        cache.plan = plan;
-        let t = self.run_assembled(&mut cache, None);
-        cache.memo.insert(ids.clone(), t);
-        cache.ids = ids;
-        t
-    }
-
-    /// A certified lower bound on [`Simulator::iteration_time`] for
-    /// `strategy`, computed in O(num_tensors) without simulating.
-    ///
-    /// Every resource serves non-preemptively, so the makespan is at
-    /// least each resource's total busy time (the CPU pool divides by its
-    /// slot count). The returned value additionally deflates the float
-    /// sum by a safety margin, so `lower_bound(S) <= iteration_time(S)`
-    /// holds despite accumulation rounding. Search loops use it to skip
-    /// simulating candidates that provably cannot beat an incumbent —
-    /// an *exact* pruning: a skipped candidate's `F(S)` is at least the
-    /// bound, so the acceptance comparison's outcome is unchanged.
-    pub fn lower_bound(&self, strategy: &Strategy) -> f64 {
-        let mut cache = self.cache.borrow_mut();
-        cache.block_ids(&self.job, &self.config, strategy, None);
-        let ids = std::mem::take(&mut cache.ids);
-        let mut sums = self.strategy_sums(&cache, &ids);
-        cache.ids = ids;
-        sums[1] /= self.config.cpu_slots.max(1) as f64;
-        let busy = sums.into_iter().fold(0.0f64, f64::max);
-        self.job.model.forward_time + busy - 1e-9
-    }
-
     /// Builds an incremental re-simulation handle anchored at `base`.
     ///
     /// Trials that differ from `base` only at tensors `>= k` resume from
@@ -1067,7 +1024,6 @@ impl Simulator {
         cache.ids = ids;
         PreparedEval {
             plan,
-            resume: None,
             faults: faults.cloned(),
             forward_time: self.job.model.forward_time,
             config: self.config,
@@ -1113,8 +1069,7 @@ pub struct DeltaSim<'a> {
 /// counts stay off the planner's report and every wire format.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TrialCounts {
-    /// Trials whose replay ran the event loop to the end (or were
-    /// handed out as a [`Screened::Live`] unit).
+    /// Trials whose replay ran the event loop to the end.
     pub simulated: u64,
     /// Replays the resync detector ended early with the exact `F`.
     pub resynced: u64,
@@ -1359,7 +1314,7 @@ impl DeltaSim<'_> {
 
     /// `F(trial)` via suffix re-simulation — bitwise-equal to
     /// `Simulator::iteration_time(trial)`. Exact-memoized by block-id
-    /// sequence, like [`Simulator::iteration_time_memo`].
+    /// sequence.
     pub fn iteration_time(&self, trial: &Strategy) -> f64 {
         self.eval_bounded(trial, f64::INFINITY)
             .expect("an infinite threshold never prunes")
@@ -1612,53 +1567,6 @@ impl DeltaSim<'_> {
         cache.memo.insert(ids.clone(), t);
         cache.ids = ids;
         t
-    }
-
-    /// Screens a trial for batch dispatch: the exact value when it is
-    /// already known, [`Screened::Pruned`] when the lower bound rules it
-    /// out against `threshold` (same contract as
-    /// [`DeltaSim::eval_bounded`]), or a thread-safe evaluation unit
-    /// carrying its resume checkpoint.
-    pub fn screen(&self, trial: &Strategy, threshold: f64) -> Screened {
-        let mut cache = self.sim.cache.borrow_mut();
-        cache.block_ids(&self.sim.job, &self.sim.config, trial, None);
-        let Some(k) = self.watermark(&cache.ids) else {
-            self.tally(|c| c.memo_hits += 1);
-            return Screened::Known(self.base_time);
-        };
-        if let Some(&t) = cache.memo.get(&cache.ids) {
-            self.tally(|c| c.memo_hits += 1);
-            return Screened::Known(t);
-        }
-        if self.bound(&cache, k) >= threshold {
-            self.tally(|c| c.pruned_static += 1);
-            return Screened::Pruned;
-        }
-        // The pin holds only for trials that differ from the base in the
-        // watermark tensor's block alone.
-        let single_swap = cache.ids[k as usize + 1..] == self.base_ids[k as usize + 1..];
-        let ids = std::mem::take(&mut cache.ids);
-        drop(cache);
-        if single_swap && self.pin_prunes(k, threshold) {
-            #[cfg(debug_assertions)]
-            self.check_pin_pruned(&ids, k, threshold);
-            self.sim.cache.borrow_mut().ids = ids;
-            self.tally(|c| c.pruned_pin += 1);
-            return Screened::Pruned;
-        }
-        let cp = self.checkpoint(k);
-        let mut cache = self.sim.cache.borrow_mut();
-        let mut plan = Plan::default();
-        cache.assemble(&self.sim.job, &ids, &mut plan);
-        cache.ids = ids;
-        self.tally(|c| c.simulated += 1);
-        Screened::Live(PreparedEval {
-            plan,
-            resume: Some(cp),
-            faults: None,
-            forward_time: self.sim.job.model.forward_time,
-            config: self.sim.config,
-        })
     }
 
     /// The certified lower bound for the trial whose ids are in
@@ -2026,55 +1934,15 @@ impl DeltaSim<'_> {
         cache.ids = ids;
         result
     }
-
-    /// Compiles a trial into a self-contained evaluation unit carrying
-    /// its resume checkpoint, for dispatch to a worker pool.
-    pub fn prepare(&self, trial: &Strategy) -> PreparedEval {
-        let mut cache = self.sim.cache.borrow_mut();
-        cache.block_ids(&self.sim.job, &self.sim.config, trial, None);
-        let watermark = self.watermark(&cache.ids);
-        let ids = std::mem::take(&mut cache.ids);
-        drop(cache);
-        let resume = watermark.map(|k| self.checkpoint(k));
-        let mut cache = self.sim.cache.borrow_mut();
-        let mut plan = Plan::default();
-        cache.assemble(&self.sim.job, &ids, &mut plan);
-        cache.ids = ids;
-        PreparedEval {
-            plan,
-            resume,
-            faults: None,
-            forward_time: self.sim.job.model.forward_time,
-            config: self.sim.config,
-        }
-    }
-}
-
-/// Outcome of [`DeltaSim::screen`].
-///
-/// Transient return value, consumed immediately by the caller; `Live`
-/// deliberately carries the whole prepared evaluation by value so it can
-/// cross a thread boundary.
-#[allow(clippy::large_enum_variant)]
-pub enum Screened {
-    /// The certified lower bound rules out `F(trial) < threshold`.
-    Pruned,
-    /// The exact `F(trial)`, known without running (base-identical trial
-    /// or memo hit).
-    Known(f64),
-    /// Simulation required: a thread-safe unit, resume checkpoint
-    /// included.
-    Live(PreparedEval),
 }
 
 /// A self-contained, thread-safe candidate evaluation: an assembled plan
-/// plus (optionally) the checkpoint to resume from and the fault plan to
-/// price. Running it requires only a per-worker [`EvalScratch`], so a
-/// batch of prepared evaluations can be fanned out across threads and
-/// merged by index with bit-deterministic results.
+/// plus (optionally) the fault plan to price. Running it requires only a
+/// per-worker [`EvalScratch`], so a batch of prepared evaluations can be
+/// fanned out across threads and merged by index with bit-deterministic
+/// results.
 pub struct PreparedEval {
     plan: Plan,
-    resume: Option<Arc<Checkpoint>>,
     faults: Option<FaultPlan>,
     forward_time: f64,
     config: SimConfig,
@@ -2088,7 +1956,7 @@ impl PreparedEval {
             &self.config,
             self.faults.as_ref(),
             scratch,
-            self.resume.as_deref(),
+            None,
             None,
             None,
             None,
@@ -2106,7 +1974,7 @@ impl PreparedEval {
 /// the FIFO queues in pop order) so restoring into an [`EvalScratch`] is
 /// a handful of copies — no allocation at steady capacity.
 #[derive(Debug, Clone)]
-pub struct Checkpoint {
+pub(crate) struct Checkpoint {
     /// Index of the compute task whose finish is pending; state indices
     /// `<= prefix_end` are valid, everything later is untouched.
     prefix_end: u32,
@@ -2671,7 +2539,6 @@ mod tests {
             let s = Strategy::uniform(j.num_tensors(), opt.clone());
             let free = simulate(&j, &s, &SimConfig::default());
             assert_eq!(sim.iteration_time(&s), free.iteration_time);
-            assert_eq!(sim.iteration_time_memo(&s), free.iteration_time);
             let cached = sim.simulate(&s);
             assert_eq!(cached.makespan, free.makespan);
             assert_eq!(cached.tasks.len(), free.tasks.len());
@@ -2736,20 +2603,6 @@ mod tests {
         assert_eq!(
             prepared.run(&mut scratch).to_bits(),
             sim.iteration_time(&s).to_bits()
-        );
-        // Delta-prepared units carry their checkpoint with them.
-        let base = Strategy::uncompressed(
-            j.num_tensors(),
-            CommPattern::Hierarchical,
-            &j.cluster,
-        );
-        let delta = sim.delta(&base);
-        let mut trial = base.clone();
-        trial.set_option(3, space.gpu_compressed()[1].clone());
-        let unit = delta.prepare(&trial);
-        assert_eq!(
-            unit.run(&mut scratch).to_bits(),
-            sim.iteration_time(&trial).to_bits()
         );
     }
 }

@@ -43,8 +43,8 @@ mod word_hash;
 pub use audit::{audit, audit_tasks, Violation};
 pub use config::SimConfig;
 pub use engine::{
-    simulate, simulate_with_faults, BlockTable, Checkpoint, DeltaSim, EvalScratch, PreparedEval,
-    Screened, Simulator, TrialCounts,
+    simulate, simulate_with_faults, BlockTable, DeltaSim, EvalScratch, PreparedEval, Simulator,
+    TrialCounts,
 };
 pub use fault::{Burst, FaultError, FaultPlan, LinkFault};
 pub use job::Job;

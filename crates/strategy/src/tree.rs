@@ -301,13 +301,17 @@ impl OptionSpace {
     }
 
     /// The space's own `Arc` of `option` (by content), carrying its
-    /// [`CompressionOption::table_index`], or `None` when the space does
-    /// not hold it.
-    pub fn find(&self, option: &CompressionOption) -> Option<&Arc<CompressionOption>> {
+    /// [`CompressionOption::table_index`], or `option` itself when the
+    /// space does not hold it. Options built outside the table (a
+    /// baseline's, Algorithm 1's all-uncompressed start) pass through
+    /// here, so the simulator's block interner keys them by table index
+    /// and simulators sharing a block table share their blocks.
+    pub fn canonical(&self, option: Arc<CompressionOption>) -> Arc<CompressionOption> {
         let all = &self.options.all;
-        all.binary_search_by(|o| (**o).cmp(option))
-            .ok()
-            .map(|at| &all[at])
+        match all.binary_search_by(|o| (**o).cmp(&option)) {
+            Ok(at) => all[at].clone(),
+            Err(_) => option,
+        }
     }
 
     /// `option` with all its compression work moved to the CPU

@@ -57,11 +57,9 @@ fn golden_traces_match_byte_for_byte() {
 
 /// The snapshots pin the *planner*, not just the simulator: re-running
 /// the full selection pipeline must reproduce the stored documents byte
-/// for byte. Selection dispatches on the environment, so this runs the
-/// fast path by default; `ESPRESSO_REFERENCE_PLANNER=1` takes the
-/// reference path instead — the two are byte-identical by construction
-/// (`espresso-audit decide` enforces it across a seeded sweep), so the
-/// same snapshots hold either way.
+/// for byte. Selection runs the fast planner; the reference planner is
+/// byte-identical to it (`espresso-audit decide` enforces it across a
+/// seeded sweep), so the same snapshots pin both.
 ///
 /// Only the cheap models re-select here so the check stays debug-build
 /// friendly; `espresso-audit goldens` (release, run by `ci.sh`) covers
